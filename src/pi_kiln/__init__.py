@@ -4,7 +4,6 @@ of pi, verified against an independent Machin-type oracle."""
 from .bruno import BkSymbolic, TrigMonomial, bk_eval, bk_symbolic, faa_coefficient, render_bk, trig_factor
 from .exact import (
     RadicalExpr,
-    Rational,
     cos_pi_rational,
     golden_ratio,
     radical_eval,
@@ -53,7 +52,6 @@ __all__ = [
     "ProductResult",
     "ProductSpec",
     "RadicalExpr",
-    "Rational",
     "SeriesResult",
     "TrigMonomial",
     "accelerated_alternating_sum",

@@ -84,7 +84,7 @@ class BkSymbolic:
         return self.k + 1
 
     def eval_float(self, s: float, c: float) -> float:
-        """Double-precision evaluation (used by oracles and the CLI)."""
+        """Double-precision evaluation, for oracles and tests."""
         a = sum(float(q) * s**j for j, q in enumerate(self.even_part))
         b = sum(float(q) * s**j for j, q in enumerate(self.odd_part))
         return (a + c * b) / s ** (self.k + 1)

@@ -25,6 +25,25 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
 
 
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_digits = _at_least(1)
+_non_negative = _at_least(0)
+
+
 def _grid(text: str) -> list:
     try:
         return [int(piece) for piece in text.split(",") if piece]
@@ -40,43 +59,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pi-power", help="pi^(k+1) from the alternating reciprocal-power series")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_non_negative, required=True)
     p.add_argument("--x", type=_fraction, required=True, metavar="p/q")
-    p.add_argument("--digits", type=int, required=True)
+    p.add_argument("--digits", type=_digits, required=True)
     p.add_argument("--method", choices=["direct", "accelerated"], default="accelerated")
 
     p = sub.add_parser("bk", help="closed form (and value) of the series prefactor")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_non_negative, required=True)
     p.add_argument("--x", type=_fraction, default=None, metavar="p/q")
-    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--digits", type=_digits, default=30)
 
     p = sub.add_parser("series", help="evaluate one of the series identities")
     p.add_argument("--id", choices=["recip-sine", "cot", "cot-diff", "appendix"], required=True)
     p.add_argument("--x", type=_fraction, default=None, metavar="p/q")
     p.add_argument("--a", type=_fraction, default=None, metavar="p/q")
-    p.add_argument("--digits", type=int, required=True)
+    p.add_argument("--digits", type=_digits, required=True)
 
     p = sub.add_parser("product", help="evaluate a catalog product")
     p.add_argument("--id", choices=catalog_ids())
     p.add_argument("--n", type=int)
     p.add_argument("--correction", choices=["none", "first-order"], default="first-order")
-    p.add_argument("--digits", type=int)
+    p.add_argument("--digits", type=_digits)
     p.add_argument("--list", action="store_true", help="list the catalog and exit")
 
     p = sub.add_parser("study", help="convergence study over a grid of N")
     p.add_argument("--target", required=True, metavar="id[:key=value...]")
     p.add_argument("--grid", type=_grid, required=True, metavar="n1,n2,...")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--digits", type=_digits, default=30)
     p.add_argument("--timing", action="store_true", help="include elapsed_ms (non-deterministic)")
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=["all", "series", "products", "bruno"], required=True)
-    p.add_argument("--digits", type=int, required=True)
+    p.add_argument("--digits", type=_digits, required=True)
 
     p = sub.add_parser("fourier-check", help="closed-form coefficients vs quadrature")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", type=_non_negative, required=True)
 
     return parser
 

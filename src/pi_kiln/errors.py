@@ -22,7 +22,7 @@ class NegativeOperand(KilnError):
 
 
 class NonPositiveOperand(KilnError):
-    """Logarithm (or rational power) of a non-positive value."""
+    """Logarithm of a non-positive value."""
 
 
 class UnsupportedAngle(KilnError):

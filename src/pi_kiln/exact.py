@@ -1,5 +1,5 @@
-"""Exact integers, rationals, factorials, and radical values of sin/cos at
-rational multiples of pi.
+"""Exact multinomials and radical values of sin/cos at rational multiples
+of pi.
 
 Rational values are plain fractions.Fraction (already an exact, reduced
 big-integer fraction with "p/q" parsing).  Radical expressions are small
@@ -22,32 +22,15 @@ from . import numerics
 from .errors import NegativeUnderSqrt, UnsupportedAngle
 from .numerics import BigFixed, PrecisionContext
 
-Rational = Fraction
-
 SUPPORTED_DENOMINATORS = frozenset({1, 2, 3, 4, 5, 6, 10})
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact reduced fraction."""
-    return Fraction(text.strip())
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
-
-
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError("factorial of negative integer")
-    return math.factorial(n)
 
 
 def multinomial(multiplicities) -> int:
     """(sum m_i)! / prod(m_i!) for non-negative integers, exactly."""
     ms = list(multiplicities)
-    total = factorial(sum(ms))
+    total = math.factorial(sum(ms))
     for m in ms:
-        total //= factorial(m)
+        total //= math.factorial(m)
     return total
 
 

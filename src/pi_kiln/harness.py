@@ -2,8 +2,7 @@
 
 Study rows and verify output are deterministic by construction: values come
 from pure fixed-point computations, rows are emitted in grid order, and the
-wall-clock column is opt-in so default output is byte-identical across runs
-and thread counts.  PI_KILN_THREADS caps the worker pool (0 or unset = auto).
+wall-clock column is opt-in so default output is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -11,9 +10,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
@@ -23,7 +20,7 @@ from .bruno import bk_eval, bk_symbolic, render_bk
 from .errors import SingularPoint, UnknownId
 from .exact import cos_pi_rational, radical_eval, sin_pi_rational
 from .numerics import BigFixed, PrecisionContext
-from .oracle import reference_pi, reference_pi_alt, reference_pi_power  # noqa: F401  (re-exported: the oracle lives here conceptually)
+from .oracle import reference_pi, reference_pi_power
 from .partitions import enumerate_constrained
 from .products import (
     catalog_eval,
@@ -34,27 +31,6 @@ from .products import (
 )
 
 PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
-
-
-def thread_count() -> int:
-    """Worker cap from PI_KILN_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("PI_KILN_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
-def _map_ordered(fn, items):
-    """Map preserving order, parallel when more than one worker is allowed."""
-    workers = thread_count()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +89,12 @@ def _parse_target(target: str) -> tuple:
                 params[key] = raw
         except (ValueError, ZeroDivisionError) as exc:
             raise UnknownId(f"bad target parameter {piece!r}") from exc
+    if params.get("k", 0) < 0 or params.get("orders", 0) < 0:
+        raise UnknownId("target parameters k and orders must be >= 0")
+    if params.get("method", "accelerated") not in ("accelerated", "direct"):
+        raise UnknownId(f"unknown method {params['method']!r}")
+    if params.get("correction", "first-order").replace("-", "_") not in ("none", "first_order"):
+        raise UnknownId(f"unknown correction {params['correction']!r}")
     return formula_id, params
 
 
@@ -120,7 +102,7 @@ _SERIES_IDS = ("recip-sine", "cot", "cot-diff", "appendix", "pi-power")
 
 
 def _study_point(formula_id: str, params: dict, n: int, ctx: PrecisionContext):
-    """(value, bound, limit) for one grid point of a study target."""
+    """(value, bound, limit) for one grid point, from the function the CLI calls."""
     method = params.get("method", "accelerated")
     orders = params.get("orders", 1)
     x = params.get("x")
@@ -129,42 +111,27 @@ def _study_point(formula_id: str, params: dict, n: int, ctx: PrecisionContext):
     if formula_id == "cot-diff" and params.get("a") is None:
         raise UnknownId("target 'cot-diff' requires a=<p/q>")
     if formula_id == "recip-sine":
-        stream = series.alternating_power_stream(0, x)
-        if method == "direct":
-            res = series.direct_alternating_sum(stream, ctx, max_terms=n)
-        else:
-            res = series.accelerated_alternating_sum(stream, ctx, n_terms=n)
+        res = series.reciprocal_sine_series(x, ctx, method, n_terms=n)
         limit = reciprocal_sine_target(x, ctx)
-        return res.value, res.error_bound, limit
-    if formula_id == "pi-power":
+    elif formula_id == "pi-power":
         k = params.get("k", 0)
-        stream = series.alternating_power_stream(k, x)
-        if method == "direct":
-            s = series.direct_alternating_sum(stream, ctx, max_terms=n)
-        else:
-            s = series.accelerated_alternating_sum(stream, ctx, n_terms=n)
-        wctx = PrecisionContext(ctx.requested_digits + 4, ctx.guard_digits)
-        b = bk_eval(k, x, wctx)
-        value = s.value.rescale(wctx.scale) / b
-        if k % 2:
-            value = -value
-        bound = (s.error_bound.rescale(wctx.scale) / abs(b)) + wctx.ulp() * 64
-        return value.rescale(ctx.scale), bound.rescale(ctx.scale) + ctx.ulp() * 2, reference_pi_power(k + 1, ctx)
-    if formula_id == "cot":
+        res = series.pi_power_from_series(k, x, ctx, method, n_terms=n)
+        limit = reference_pi_power(k + 1, ctx)
+    elif formula_id == "cot":
         res = series.cotangent_series(x, ctx, n_direct=n, tail_orders=orders)
-        return res.value, res.error_bound, cotangent_target(x, ctx)
-    if formula_id == "cot-diff":
-        a = params.get("a")
+        limit = cotangent_target(x, ctx)
+    elif formula_id == "cot-diff":
+        a = params["a"]
         res = series.cot_difference_series(x, a, ctx, n_direct=n, tail_orders=orders)
         limit = cotangent_target(x, ctx) - cotangent_target(a, ctx)
-        return res.value, res.error_bound, limit
-    if formula_id == "appendix":
+    elif formula_id == "appendix":
         res = series.appendix_pi_series(ctx, n_direct=n, tail_orders=orders)
-        return res.value, res.error_bound, reference_pi(ctx)
-    # otherwise a product catalog id
-    correction = params.get("correction", "first-order").replace("-", "_")
-    res = catalog_eval(formula_id, n, ctx, correction=correction)
-    return res.value, res.error_bound, catalog_limit(formula_id, ctx)
+        limit = reference_pi(ctx)
+    else:  # a product catalog id
+        correction = params.get("correction", "first-order").replace("-", "_")
+        res = catalog_eval(formula_id, n, ctx, correction=correction)
+        limit = catalog_limit(formula_id, ctx)
+    return res.value, res.error_bound, limit
 
 
 def convergence_study(target: str, grid, ctx: PrecisionContext | None = None):
@@ -174,7 +141,6 @@ def convergence_study(target: str, grid, ctx: PrecisionContext | None = None):
     formula_id, params = _parse_target(target)
     if formula_id not in _SERIES_IDS:
         catalog_limit(formula_id, ctx)  # raises UnknownId early
-    grid = list(grid)
 
     def row(n: int) -> StudyRow:
         start = time.perf_counter()
@@ -192,7 +158,7 @@ def convergence_study(target: str, grid, ctx: PrecisionContext | None = None):
             elapsed_ms=round(elapsed, 3),
         )
 
-    return _map_ordered(row, grid)
+    return [row(n) for n in grid]
 
 
 def study_to_json(rows, include_timing: bool = False) -> str:
@@ -411,8 +377,8 @@ _SUITES = {
 def verify(suite: str, digits: int) -> tuple:
     """Run a verification suite; returns (report_text, all_passed).
 
-    Output is byte-identical across runs and thread counts: check order is
-    fixed and no timing information is included.
+    Output is byte-identical across runs: check order is fixed and no timing
+    information is included.
     """
     if suite == "all":
         names = ["series", "products", "bruno"]
@@ -421,10 +387,10 @@ def verify(suite: str, digits: int) -> tuple:
     else:
         raise UnknownId(f"unknown suite {suite!r}")
     ctx = PrecisionContext(digits)
-    groups = _map_ordered(lambda name: (name, _SUITES[name](ctx)), names)
     lines = []
     total = passed = 0
-    for name, checks in groups:
+    for name in names:
+        checks = _SUITES[name](ctx)
         lines.append(f"== suite: {name} (digits={digits}) ==")
         for c in checks:
             total += 1

@@ -104,13 +104,6 @@ class PrecisionContext:
     def from_fraction(self, q: Fraction) -> "BigFixed":
         return BigFixed(_div_trunc(q.numerator << self.scale, q.denominator), self.scale)
 
-    def from_float(self, x: float) -> "BigFixed":
-        if math.isnan(x) or math.isinf(x):
-            raise ValueError("cannot represent non-finite float")
-        m, e = math.frexp(x)
-        mant = int(m * (1 << 53))  # exact: doubles have 53-bit significands
-        return BigFixed(_shift_trunc(mant, 53 - e - self.scale), self.scale)
-
     def parse(self, text: str) -> "BigFixed":
         """Parse a decimal string ("3.25", "-0.5") or a rational ("p/q")."""
         return self.from_fraction(Fraction(text.strip()))
@@ -118,6 +111,22 @@ class PrecisionContext:
     def render(self, v: "BigFixed") -> str:
         """Decimal string with exactly requested_digits fractional digits."""
         return v.to_decimal(self.requested_digits)
+
+    # -- runs of many steps ----------------------------------------------------
+
+    def working(self, terms: int) -> "PrecisionContext":
+        """Context for a run of `terms` truncating steps: ceil(log10 terms) + 2
+        extra digits (terms counted as at least 10) absorb their noise."""
+        extra = math.ceil(math.log10(max(terms, 10))) + 2
+        return PrecisionContext(self.requested_digits + extra, self.guard_digits)
+
+    def finish(self, value_w: "BigFixed", bound_w: "BigFixed") -> tuple:
+        """(value, bound) of a working-precision run, at this scale.
+
+        The value is truncated; the bound is truncated too, so 2 ulp are added
+        to round it up and to absorb the value's truncation.
+        """
+        return value_w.rescale(self.scale), abs(bound_w).rescale(self.scale) + self.ulp() * 2
 
 
 class BigFixed:
@@ -291,22 +300,6 @@ class BigFixed:
 # ---------------------------------------------------------------------------
 
 
-def add(a: BigFixed, b: BigFixed) -> BigFixed:
-    return a + b
-
-
-def sub(a: BigFixed, b: BigFixed) -> BigFixed:
-    return a - b
-
-
-def mul(a: BigFixed, b: BigFixed) -> BigFixed:
-    return a * b
-
-
-def div(a: BigFixed, b: BigFixed) -> BigFixed:
-    return a / b
-
-
 def sqrt(a: BigFixed) -> BigFixed:
     """Square root with |result**2 - a| <= 2 ulp for a <= 4 (and <= sqrt(a) ulp beyond).
 
@@ -396,13 +389,6 @@ def exp(a: BigFixed) -> BigFixed:
         acc += term
         j += 1
     return BigFixed(_shift_round(_shift_trunc(acc, -k), _GUARD_BITS), s)
-
-
-def pow_rational(a: BigFixed, r: Fraction) -> BigFixed:
-    """a ** r for a > 0, computed as exp(r * ln a)."""
-    if a.mantissa <= 0:
-        raise NonPositiveOperand("pow_rational requires a positive base")
-    return exp(ln(a).mul_fraction(r))
 
 
 def ipow(a: BigFixed, n: int) -> BigFixed:

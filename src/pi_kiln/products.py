@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import numerics
 from .errors import OutOfRange, PoleAtInteger, UnknownId
@@ -42,17 +43,6 @@ class ProductResult:
             raise ValueError("error_bound must be positive")
 
 
-def _work_context(ctx: PrecisionContext, terms: int) -> PrecisionContext:
-    extra = math.ceil(math.log10(max(terms, 10))) + 2
-    return PrecisionContext(ctx.requested_digits + extra, ctx.guard_digits)
-
-
-def _finish(value_w: BigFixed, bound_w: BigFixed, ctx: PrecisionContext, n: int, corrected: bool) -> ProductResult:
-    value = value_w.rescale(ctx.scale)
-    bound = abs(bound_w).rescale(ctx.scale) + ctx.ulp() * 2
-    return ProductResult(value, n, corrected, bound)
-
-
 def _psi(n: int, beta: Fraction = Fraction(0)) -> Fraction:
     """Two-term tail of sum_{m>n} 1/(m+beta)^2; undershoots by <= 1/(6 (n+beta)^3)."""
     b = n + beta
@@ -62,6 +52,42 @@ def _psi(n: int, beta: Fraction = Fraction(0)) -> Fraction:
 # ---------------------------------------------------------------------------
 # Euler-Wallis product and its rational instances
 # ---------------------------------------------------------------------------
+
+
+def _quadratic_product(
+    factor: Callable[[int], Fraction],
+    n: int,
+    correction: str,
+    ctx: PrecisionContext,
+    tail_coef: Fraction,
+    tail_shift: Fraction,
+    err_corrected: Fraction,
+    err_plain: Fraction,
+) -> ProductResult:
+    """prod_{m=1..n} factor(m) for exact factors 1 + O(1/m^2).
+
+    The log of the discarded tail is ~ tail_coef * psi_n(tail_shift), so
+    correction="first_order" multiplies by exp of that.  The log of what
+    remains is at most err_corrected/n^3 after the correction and err_plain/n
+    without it.
+    """
+    if n < 1:
+        raise OutOfRange("n must be >= 1")
+    if correction not in ("none", "first_order"):
+        raise ValueError(f"unknown correction {correction!r}")
+    wctx = ctx.working(n)
+    acc = wctx.one()
+    for m in range(1, n + 1):
+        acc = acc.mul_fraction(factor(m))
+    corrected = correction == "first_order"
+    if corrected:
+        acc = acc * numerics.exp(wctx.from_fraction(tail_coef * _psi(n, tail_shift)))
+        err_log = err_corrected / n**3
+    else:
+        err_log = err_plain / n
+    bound = abs(acc).mul_fraction(2 * err_log) + wctx.ulp() * (2 * n + 32)
+    value, bound = ctx.finish(acc, bound)
+    return ProductResult(value, n, corrected, bound)
 
 
 def euler_wallis(
@@ -77,60 +103,33 @@ def euler_wallis(
         ctx = PrecisionContext(30)
     if not (0 < x < 1):
         raise OutOfRange(f"euler_wallis requires 0 < x < 1, got {x}")
-    if correction not in ("none", "first_order"):
-        raise ValueError(f"unknown correction {correction!r}")
-    if n < 1:
-        raise OutOfRange("n must be >= 1")
-    wctx = _work_context(ctx, n)
     x2 = x * x
-    acc = wctx.one()
-    for m in range(1, n + 1):
-        acc = acc.mul_fraction(1 - x2 / (m * m))
-    corrected = correction == "first_order"
-    if corrected:
-        acc = acc * numerics.exp(wctx.from_fraction(-x2 * _psi(n)))
-        # psi truncation + the quartic term of ln(1 - x^2/m^2)
-        err_log = x2 * Fraction(1, 6 * n**3) + x2 * x2 * Fraction(1, 4 * n**3)
-    else:
-        err_log = x2 * Fraction(1, n)
-    bound = abs(acc).mul_fraction(2 * err_log) + wctx.ulp() * (2 * n + 32)
-    return _finish(acc, bound, ctx, n, corrected)
+    # psi truncation + the quartic term of ln(1 - x^2/m^2)
+    err_corrected = x2 / 6 + x2 * x2 / 4
+    return _quadratic_product(
+        lambda m: 1 - x2 / (m * m), n, correction, ctx, -x2, Fraction(0), err_corrected, x2
+    )
+
+
+def _wallis(n: int, correction: str, ctx: PrecisionContext) -> ProductResult:
+    """prod (2m)^2 / ((2m-1)(2m+1)) -> pi/2."""
+    return _quadratic_product(
+        lambda m: Fraction(4 * m * m, 4 * m * m - 1),
+        n, correction, ctx, Fraction(1, 4), Fraction(0), Fraction(1, 12), Fraction(1, 4),
+    )
+
+
+def _odd_square(n: int, correction: str, ctx: PrecisionContext) -> ProductResult:
+    """prod (1 - 1/(2m+1)^2) -> pi/4."""
+    return _quadratic_product(
+        lambda m: 1 - Fraction(1, (2 * m + 1) ** 2),
+        n, correction, ctx, Fraction(-1, 4), Fraction(1, 2), Fraction(1, 12), Fraction(1, 4),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Classic products
 # ---------------------------------------------------------------------------
-
-
-def _wallis(n: int, correction: str, ctx: PrecisionContext) -> ProductResult:
-    wctx = _work_context(ctx, n)
-    acc = wctx.one()
-    for m in range(1, n + 1):
-        acc = acc.mul_fraction(Fraction(4 * m * m, 4 * m * m - 1))
-    corrected = correction == "first_order"
-    if corrected:
-        acc = acc * numerics.exp(wctx.from_fraction(_psi(n) / 4))
-        err_log = Fraction(1, 12 * n**3)
-    else:
-        err_log = Fraction(1, 4 * n)
-    bound = abs(acc).mul_fraction(2 * err_log) + wctx.ulp() * (2 * n + 32)
-    return _finish(acc, bound, ctx, n, corrected)
-
-
-def _odd_square(n: int, correction: str, ctx: PrecisionContext) -> ProductResult:
-    wctx = _work_context(ctx, n)
-    acc = wctx.one()
-    for m in range(1, n + 1):
-        q = (2 * m + 1) ** 2
-        acc = acc.mul_fraction(Fraction(q - 1, q))
-    corrected = correction == "first_order"
-    if corrected:
-        acc = acc * numerics.exp(wctx.from_fraction(-_psi(n, Fraction(1, 2)) / 4))
-        err_log = Fraction(1, 12 * n**3)
-    else:
-        err_log = Fraction(1, 4 * n)
-    bound = abs(acc).mul_fraction(2 * err_log) + wctx.ulp() * (2 * n + 32)
-    return _finish(acc, bound, ctx, n, corrected)
 
 
 def viete(iterations: int, ctx: PrecisionContext) -> ProductResult:
@@ -141,7 +140,7 @@ def viete(iterations: int, ctx: PrecisionContext) -> ProductResult:
     """
     if iterations < 1:
         raise OutOfRange("iterations must be >= 1")
-    wctx = _work_context(ctx, iterations)
+    wctx = ctx.working(iterations)
     two = wctx.from_int(2)
     r = numerics.sqrt(two)
     acc = wctx.one()
@@ -151,7 +150,8 @@ def viete(iterations: int, ctx: PrecisionContext) -> ProductResult:
     bound = wctx.from_fraction(Fraction(4, 5) / 4**iterations) + wctx.ulp() * (
         4 * iterations + 32
     )
-    return _finish(acc, bound, ctx, iterations, False)
+    value, bound = ctx.finish(acc, bound)
+    return ProductResult(value, iterations, False, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -174,13 +174,14 @@ def prime_sieve(limit: int) -> list:
 
 def _euler_zeta2(limit: int, ctx: PrecisionContext) -> ProductResult:
     primes = prime_sieve(limit)
-    wctx = _work_context(ctx, len(primes))
+    wctx = ctx.working(len(primes))
     acc = wctx.one()
     for p in primes:
         acc = acc.mul_fraction(Fraction(p * p, p * p - 1))
     # sum_{p > limit} 1/(p^2-1) <= sum_{n > limit} 1/(n^2-1) <= 1/limit
     bound = abs(acc).mul_fraction(Fraction(2, limit)) + wctx.ulp() * (len(primes) + 32)
-    return _finish(acc, bound, ctx, len(primes), False)
+    value, bound = ctx.finish(acc, bound)
+    return ProductResult(value, len(primes), False, bound)
 
 
 def _euler_pi4(limit: int, ctx: PrecisionContext) -> ProductResult:
@@ -191,7 +192,7 @@ def _euler_pi4(limit: int, ctx: PrecisionContext) -> ProductResult:
     1.0e-3 at 1e4, 2.7e-4 at 1e5, 1.7e-6 at 1e6).
     """
     primes = prime_sieve(limit)
-    wctx = _work_context(ctx, len(primes))
+    wctx = ctx.working(len(primes))
     acc = wctx.one()
     for p in primes:
         if p == 2:
@@ -200,7 +201,8 @@ def _euler_pi4(limit: int, ctx: PrecisionContext) -> ProductResult:
         acc = acc.mul_fraction(Fraction(p, p + eps))
     bound = wctx.from_fraction(Fraction(3, math.isqrt(limit) * limit.bit_length()))
     bound = bound + wctx.ulp() * (len(primes) + 32)
-    return _finish(acc, bound, ctx, len(primes), False)
+    value, bound = ctx.finish(acc, bound)
+    return ProductResult(value, len(primes), False, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +220,7 @@ def _nested_exponent(n: int, ctx: PrecisionContext) -> ProductResult:
     """
     if n < 1:
         raise OutOfRange("n must be >= 1")
-    wctx = _work_context(ctx, n)
+    wctx = ctx.working(n)
     total = wctx.zero()
     inner = wctx.zero()
     for m in range(1, n + 1):
@@ -227,9 +229,9 @@ def _nested_exponent(n: int, ctx: PrecisionContext) -> ProductResult:
         inner = inner + ln_even * (2 * m) - ln_odd * (2 * m - 1)
         total = total - ln_even.mul_fraction(Fraction(2, 2 * m - 1))
         total = total + inner.mul_fraction(Fraction(4, 4 * m * m - 1))
-    value = numerics.exp(total)
     bound = wctx.from_fraction(Fraction(n.bit_length(), n)) + wctx.ulp() * (8 * n + 32)
-    return _finish(value, bound, ctx, n, False)
+    value, bound = ctx.finish(numerics.exp(total), bound)
+    return ProductResult(value, n, False, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +354,7 @@ def golden_ratio_check(
     n: int, ctx: PrecisionContext, correction: str = "first_order"
 ) -> BigFixed:
     """Residual |3 - (4 pi^2 / 25) prod(1 - 1/(25 m^2))^2 - phi|, oracle pi."""
-    wctx = _work_context(ctx, n)
+    wctx = ctx.working(n)
     prod = euler_wallis(Fraction(1, 5), n, correction, wctx)
     p_w = prod.value.rescale(wctx.scale)
     pi2 = reference_pi_power(2, wctx)

@@ -25,7 +25,7 @@ from typing import Callable
 
 from . import numerics
 from .bruno import bk_eval
-from .errors import CoincidentPoints, NonAlternating, PoleAtInteger
+from .errors import CoincidentPoints, NonAlternating, OutOfRange, PoleAtInteger
 from .numerics import BigFixed, PrecisionContext
 from .oracle import reference_pi
 
@@ -56,18 +56,6 @@ class PairedTermStream:
 
     head: Fraction
     pair: Callable[[int], Fraction]
-
-
-def _work_context(ctx: PrecisionContext, terms: int) -> PrecisionContext:
-    extra = math.ceil(math.log10(max(terms, 10))) + 2
-    return PrecisionContext(ctx.requested_digits + extra, ctx.guard_digits)
-
-
-def _finish(value_w: BigFixed, bound_w: BigFixed, ctx: PrecisionContext, terms: int, method: str) -> SeriesResult:
-    value = value_w.rescale(ctx.scale)
-    # round the bound up and absorb the final truncation
-    bound = abs(bound_w).rescale(ctx.scale) + ctx.ulp() * 2
-    return SeriesResult(value, bound, terms, method)
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +99,14 @@ def accelerated_alternating_sum(
     """
     if n_terms is None:
         n_terms = math.ceil(ctx.requested_digits * math.log(10) / _ACCEL_RHO_LN) + 5
+    if n_terms < 1:
+        raise OutOfRange("the accelerator needs n_terms >= 1")
     sigma, anchor = _check_alternating(stream)
-    wctx = _work_context(ctx, n_terms)
+    wctx = ctx.working(n_terms)
     head = wctx.from_fraction(stream.head)
     if sigma == 0:
         # degenerate all-zero stream
-        return _finish(head, wctx.ulp() * 4, ctx, 1, "accelerated")
+        return SeriesResult(*ctx.finish(head, wctx.ulp() * 4), 1, "accelerated")
     # a_j = |u_{j+1}|, a decreasing positive sequence; sum = sigma * sum (-1)^j a_j
     sign_of_u1 = sigma * (-1) ** (1 - anchor)
     a = [abs(stream.pair(j + 1)) for j in range(n_terms)]
@@ -132,19 +122,23 @@ def accelerated_alternating_sum(
     value = head + alt * sign_of_u1
     a0 = wctx.from_fraction(a[0])
     bound = abs(a0).mul_fraction(Fraction(32, d)) + wctx.ulp() * (n_terms + 8)
-    return _finish(value, bound, ctx, n_terms + 1, "accelerated")
+    return SeriesResult(*ctx.finish(value, bound), n_terms + 1, "accelerated")
 
 
 def direct_alternating_sum(
-    stream: PairedTermStream, ctx: PrecisionContext, max_terms: int = 200_000
+    stream: PairedTermStream, ctx: PrecisionContext, max_terms: int | None = None
 ) -> SeriesResult:
     """Plain paired summation with the alternating-tail bound |u_{N+1}|.
 
-    Slowly decaying streams cannot reach high precision this way; the bound
-    stays honest regardless, which is the point of offering the method.
+    Sums until a pair drops below the working ulp or max_terms (default
+    200 000) pairs are in.  Slowly decaying streams cannot reach high
+    precision this way; the bound stays honest regardless, which is the point
+    of offering the method.
     """
+    if max_terms is None:
+        max_terms = 200_000
     _check_alternating(stream)
-    wctx = _work_context(ctx, max_terms)
+    wctx = ctx.working(max_terms)
     acc = wctx.from_fraction(stream.head)
     cutoff = Fraction(1, 1 << (wctx.scale + 2))
     n = 1
@@ -157,7 +151,7 @@ def direct_alternating_sum(
     # the first unadded pair dominates the alternating tail
     tail = abs(stream.pair(n))
     bound = wctx.from_fraction(tail) + wctx.ulp() * (n + 8)
-    return _finish(acc, bound, ctx, n, "direct")
+    return SeriesResult(*ctx.finish(acc, bound), n, "direct")
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +253,7 @@ def positive_series_sum(
         n_direct = max(64, 3 * digits)
     max_beta = max(abs(beta) for _, beta in poles.poles)
     n_direct = max(n_direct, math.ceil(2 * max_beta) + 8)
-    wctx = _work_context(ctx, n_direct)
+    wctx = ctx.working(n_direct)
     acc = wctx.from_fraction(head)
     for n in range(1, n_direct + 1):
         acc = acc + wctx.from_fraction(poles.term(n))
@@ -268,7 +262,7 @@ def positive_series_sum(
     )
     value = acc + tail
     bound = wctx.from_fraction(method_bound) + wctx.ulp() * (n_direct + 64)
-    return _finish(value, bound, ctx, n_direct + 1, "direct")
+    return SeriesResult(*ctx.finish(value, bound), n_direct + 1, "direct")
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +320,30 @@ APPENDIX_POLES = PoleSum(
 
 
 def alternating_power_sum(
-    k: int, x: Fraction, ctx: PrecisionContext, method: str = "accelerated"
+    k: int, x: Fraction, ctx: PrecisionContext, method: str = "accelerated", n_terms: int | None = None
 ) -> SeriesResult:
-    """sum over all integers of (-1)^n / (x+n)^(k+1), principal-value paired."""
+    """sum over all integers of (-1)^n / (x+n)^(k+1), principal-value paired.
+
+    n_terms fixes the accelerator's N, or the direct method's term cap; by
+    default each method picks its own.
+    """
     stream = alternating_power_stream(k, x)
     if method == "accelerated":
-        return accelerated_alternating_sum(stream, ctx)
+        return accelerated_alternating_sum(stream, ctx, n_terms)
     if method == "direct":
-        return direct_alternating_sum(stream, ctx)
+        return direct_alternating_sum(stream, ctx, n_terms)
     raise ValueError(f"unknown method {method!r}")
 
 
 def reciprocal_sine_series(
-    x: Fraction, ctx: PrecisionContext, method: str = "accelerated"
+    x: Fraction, ctx: PrecisionContext, method: str = "accelerated", n_terms: int | None = None
 ) -> SeriesResult:
     """pi / sin(pi x) as the alternating reciprocal sum (k = 0 case)."""
-    return alternating_power_sum(0, x, ctx, method)
+    return alternating_power_sum(0, x, ctx, method, n_terms)
 
 
 def pi_power_from_series(
-    k: int, x: Fraction, ctx: PrecisionContext, method: str = "accelerated"
+    k: int, x: Fraction, ctx: PrecisionContext, method: str = "accelerated", n_terms: int | None = None
 ) -> SeriesResult:
     """pi^(k+1) = (-1)^k / B_k(x) * sum (-1)^n / (x+n)^(k+1).
 
@@ -354,8 +352,8 @@ def pi_power_from_series(
     by 4, so the identity is exposed here in full-sum form.
     """
     x = _require_non_integer(x)
-    s_res = alternating_power_sum(k, x, ctx, method)
-    wctx = _work_context(ctx, s_res.terms_used)
+    s_res = alternating_power_sum(k, x, ctx, method, n_terms)
+    wctx = ctx.working(s_res.terms_used)
     b = bk_eval(k, x, wctx)
     s_w = s_res.value.rescale(wctx.scale)
     value = s_w / b
@@ -365,7 +363,7 @@ def pi_power_from_series(
     err_b = wctx.ulp() * (3 * k + 48)
     s_bound = s_res.error_bound.rescale(wctx.scale) + wctx.ulp() * 2
     bound = (s_bound + abs(value) * err_b) / abs(b) + wctx.ulp() * 4
-    return _finish(value, bound, ctx, s_res.terms_used, s_res.method)
+    return SeriesResult(*ctx.finish(value, bound), s_res.terms_used, s_res.method)
 
 
 def cotangent_series(
@@ -415,7 +413,7 @@ def derivative_identity_check(k: int, x: Fraction, ctx: PrecisionContext) -> Big
     """
     x = _require_non_integer(x)
     s_res = alternating_power_sum(k, x, ctx)
-    wctx = _work_context(ctx, s_res.terms_used)
+    wctx = ctx.working(s_res.terms_used)
     s_w = s_res.value.rescale(wctx.scale)
     if k % 2:
         s_w = -s_w

@@ -24,23 +24,10 @@ CTX = PrecisionContext(30)
 CTX50 = PrecisionContext(50)
 
 
-def test_factorial():
-    assert exact.factorial(0) == 1
-    assert exact.factorial(5) == 120
-    with pytest.raises(ValueError):
-        exact.factorial(-1)
-
-
 def test_multinomial():
     assert exact.multinomial([2]) == 1  # (2)!/2! = 1
     assert exact.multinomial([1, 1]) == 2  # (1+1)!/(1! 1!) = 2
     assert exact.multinomial([2, 1]) == 3
-
-
-def test_parse_format_rational():
-    assert exact.parse_rational("3/4") == Fraction(3, 4)
-    assert exact.parse_rational("-7") == Fraction(-7)
-    assert exact.format_rational(Fraction(6, 8)) == "3/4"
 
 
 @given(st.fractions().filter(lambda q: q != 0))

@@ -4,13 +4,14 @@ import json
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from pi_kiln import cli, harness
 from pi_kiln.errors import UnknownId
 from pi_kiln.numerics import PrecisionContext
 from pi_kiln.oracle import reference_pi, reference_pi_alt, reference_pi_power
-from pi_kiln.series import pi_power_from_series
+from pi_kiln.series import pi_power_from_series, reciprocal_sine_series
 
 PI_100 = (
     "3."
@@ -108,6 +109,36 @@ def test_study_pi_power_target():
     assert rows[0].params == {"k": "1", "x": "1/4"}
 
 
+@pytest.mark.parametrize(
+    "k, x, n, method",
+    [
+        (0, "1/4", 12, "accelerated"),
+        (2, "1/4", 30, "accelerated"),
+        (3, "1/6", 45, "accelerated"),
+        (5, "1/10", 60, "accelerated"),
+        (1, "1/4", 40, "direct"),
+        (None, "1/3", 20, "accelerated"),
+        (None, "1/4", 50, "direct"),
+    ],
+)
+def test_study_rows_match_public_functions(k, x, n, method):
+    """A study row prints what the public series function returns for N = n."""
+    ctx = PrecisionContext(30)
+    if k is None:
+        target = f"recip-sine:x={x}:method={method}"
+        res = reciprocal_sine_series(Fraction(x), ctx, method, n_terms=n)
+    else:
+        target = f"pi-power:k={k}:x={x}:method={method}"
+        res = pi_power_from_series(k, Fraction(x), ctx, method, n_terms=n)
+    (row,) = harness.convergence_study(target, [n], ctx)
+    assert row.value == ctx.render(res.value)
+    assert row.bound == res.error_bound.to_scientific(3)
+    if k is not None:
+        with mpmath.workdps(60):
+            err = abs(mpmath.mpf(row.value) - mpmath.pi ** (k + 1))
+            assert err <= mpmath.mpf(row.bound) + mpmath.mpf(10) ** -30
+
+
 def test_study_unknown_target():
     with pytest.raises(UnknownId):
         harness.convergence_study("nonsense", [10])
@@ -132,21 +163,10 @@ def test_study_serializers_deterministic(monkeypatch):
     assert c1.splitlines()[0] == "formula_id,params,n,value,abs_error,bound"
 
 
-def test_study_identical_across_threads(monkeypatch):
-    monkeypatch.setenv("PI_KILN_THREADS", "1")
+def test_study_identical_across_runs():
     r1 = harness.study_to_csv(harness.convergence_study("viete", [4, 8, 12]))
-    monkeypatch.setenv("PI_KILN_THREADS", "8")
-    r8 = harness.study_to_csv(harness.convergence_study("viete", [4, 8, 12]))
-    assert r1 == r8
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("PI_KILN_THREADS", "3")
-    assert harness.thread_count() == 3
-    monkeypatch.setenv("PI_KILN_THREADS", "0")
-    assert harness.thread_count() >= 1
-    monkeypatch.setenv("PI_KILN_THREADS", "junk")
-    assert harness.thread_count() >= 1
+    r2 = harness.study_to_csv(harness.convergence_study("viete", [4, 8, 12]))
+    assert r1 == r2
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +185,11 @@ def test_verify_unknown_suite():
         harness.verify("nope", 20)
 
 
-def test_verify_deterministic_across_threads(monkeypatch):
-    monkeypatch.setenv("PI_KILN_THREADS", "1")
+def test_verify_deterministic_across_runs():
     r1, ok1 = harness.verify("bruno", 20)
-    monkeypatch.setenv("PI_KILN_THREADS", "8")
-    r8, ok8 = harness.verify("bruno", 20)
-    assert ok1 and ok8
-    assert r1 == r8
+    r2, ok2 = harness.verify("bruno", 20)
+    assert ok1 and ok2
+    assert r1 == r2
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +261,36 @@ def test_cli_fourier_check(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "max_abs_diff" in out
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        ("pi-power --k 0 --x 1/4 --digits 0", 2),
+        ("series --id recip-sine --x 1/3 --digits -5", 2),
+        ("verify --suite bruno --digits 0", 2),
+        ("product --id wallis --n 10 --digits 0", 2),
+        ("pi-power --k -1 --x 1/4 --digits 10", 2),
+        ("bk --k -1", 2),
+        ("fourier-check --alpha 0.25 --nmax -1", 2),
+        ("study --target pi-power:k=-1:x=1/4 --grid 10", 3),
+        ("study --target cot:x=1/3:orders=-1 --grid 20", 3),
+        ("study --target recip-sine:x=1/4:method=bogus --grid 10", 3),
+        ("study --target wallis:correction=bogus --grid 10", 3),
+        ("study --target euler-wallis-1-4:correction=bogus --grid 10", 3),
+        ("product --id wallis --n 0 --digits 10", 3),
+        ("product --id odd-square --n 0 --digits 10", 3),
+        ("study --target wallis --grid 0", 3),
+        ("study --target recip-sine:x=1/4 --grid 0", 3),
+    ],
+)
+def test_cli_invalid_input_exit_code(argv, code, capsys):
+    try:
+        rc = cli.main(argv.split())
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_cli_missing_param_usage(capsys):

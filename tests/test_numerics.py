@@ -209,15 +209,14 @@ def test_exp_against_float():
     assert abs(v.to_float() - math.e) < 1e-15
 
 
-def test_pow_rational():
-    # 8 ** (2/3) = 4
-    v = numerics.pow_rational(CTX.from_int(8), Fraction(2, 3))
-    assert abs(v - CTX.from_int(4)) <= ULP * 16
-
-
-def test_pow_rational_nonpositive_base():
-    with pytest.raises(NonPositiveOperand):
-        numerics.pow_rational(CTX.zero(), Fraction(1, 2))
+def test_working_context_and_finish():
+    ctx = PrecisionContext(30)
+    assert ctx.working(5).requested_digits == 33  # terms count as at least 10
+    assert ctx.working(1000).requested_digits == 35
+    wctx = ctx.working(1000)
+    value, bound = ctx.finish(-wctx.one(), -wctx.ulp())
+    assert value == -ctx.one()
+    assert bound == ctx.ulp() * 2  # sub-ulp bound truncates to 0, then 2 ulp
 
 
 def test_ipow():
