@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pi_kiln import numerics
 from pi_kiln.errors import CoincidentPoints, NonAlternating, PoleAtInteger, SingularPoint
@@ -40,9 +42,11 @@ def sqrt_int(n: int, ctx: PrecisionContext = CTX):
 # ---------------------------------------------------------------------------
 
 
+LN2_STREAM = PairedTermStream(head=Fraction(1), pair=lambda n: Fraction((-1) ** n, n + 1))
+
+
 def test_accelerated_ln2():
-    stream = PairedTermStream(head=Fraction(1), pair=lambda n: Fraction((-1) ** n, n + 1))
-    res = accelerated_alternating_sum(stream, CTX)
+    res = accelerated_alternating_sum(LN2_STREAM, CTX)
     target = numerics.ln(CTX.from_int(2))
     assert abs(res.value - target) <= res.error_bound + CTX.ulp() * 8
     assert res.method == "accelerated"
@@ -83,6 +87,73 @@ def test_direct_and_accelerated_agree():
         slow = direct_alternating_sum(stream, ctx, max_terms=20_000)
         combined = fast.error_bound + slow.error_bound
         assert abs(fast.value - slow.value) <= combined
+
+
+def _chebyshev_d_exact(n: int) -> int:
+    """d = ((3+sqrt8)^n + (3-sqrt8)^n)/2, the rational part of (3 + 2 sqrt2)^n."""
+    a, b = 1, 0
+    for _ in range(n):
+        a, b = 3 * a + 4 * b, 2 * a + 3 * b
+    return a
+
+
+def _crvz_exact(stream: PairedTermStream, n: int) -> Fraction:
+    """Algorithm 1 of Cohen, Rodriguez Villegas and Zagier in exact rationals."""
+    u1 = stream.pair(1)
+    d = _chebyshev_d_exact(n)
+    b, c = Fraction(-1), Fraction(-d)
+    terms = []
+    for j in range(n):
+        c = b - c
+        terms.append(c * abs(stream.pair(j + 1)))
+        b = b * Fraction(2 * (j + n) * (j - n), (2 * j + 1) * (j + 1))
+    while len(terms) > 1:  # pairwise, so the denominators grow evenly
+        terms = [sum(terms[i : i + 2]) for i in range(0, len(terms), 2)]
+    return stream.head + (1 if u1 > 0 else -1) * terms[0] / d
+
+
+KERNEL_STREAMS = [
+    pytest.param(alternating_power_stream(k, x), id=f"k={k},x={x}")
+    for k in (0, 2, 8)
+    for x in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10))
+] + [pytest.param(LN2_STREAM, id="ln2")]
+
+
+@pytest.mark.parametrize("stream", KERNEL_STREAMS)
+def test_integer_kernel_matches_exact_crvz(stream):
+    # the integer accelerator is within 3 ulp of the same algorithm in exact rationals
+    ctx = PrecisionContext(300)
+    ulp = Fraction(1, 1 << ctx.scale)
+    default_n = accelerated_alternating_sum(stream, ctx).terms_used - 1
+    for n in list(range(1, 41)) + [default_n]:
+        res = accelerated_alternating_sum(stream, ctx, n)
+        assert abs(res.value.to_fraction() - _crvz_exact(stream, n)) <= 3 * ulp, n
+
+
+def test_chebyshev_weight_recurrence_divides_exactly():
+    # b_j are integer coefficients of the shifted Chebyshev polynomial, so the
+    # accelerator's floor division in the b_j update is exact
+    for n in list(range(1, 1001)) + list(range(1050, 5001, 50)) + [3925]:
+        b = -1
+        for j in range(n):
+            b, r = divmod(b * 2 * (j + n) * (j - n), (2 * j + 1) * (j + 1))
+            assert r == 0, (n, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.integers(-400, 400),
+    q=st.integers(2, 60),
+    k=st.integers(0, 8),
+    n=st.integers(1, 2000),
+)
+def test_pair_matches_rational_definition(p, q, k, n):
+    x = Fraction(p, q)
+    if x.denominator == 1:
+        x += Fraction(1, q)
+    e = k + 1
+    expected = (-1) ** n * (1 / (x + n) ** e + 1 / (x - n) ** e)
+    assert alternating_power_stream(k, x).pair(n) == expected
 
 
 # ---------------------------------------------------------------------------
