@@ -30,6 +30,10 @@ _LOG2_10 = math.log2(10)
 # Extra bits used inside sqrt/ln/exp before rounding back to the caller scale.
 _GUARD_BITS = 16
 
+# Most decimal digits one str() call converts; Python refuses int-to-str
+# conversions beyond 4300 digits by default (sys.get_int_max_str_digits).
+_STR_CHUNK_DIGITS = 4000
+
 
 def _shift_trunc(n: int, bits: int) -> int:
     """Shift n right by bits, truncating toward zero.  Negative bits shift left."""
@@ -54,6 +58,19 @@ def _div_trunc(a: int, b: int) -> int:
     """Integer quotient truncated toward zero (Python // floors)."""
     q = abs(a) // abs(b)
     return q if (a >= 0) == (b >= 0) else -q
+
+
+def _decimal_digits(n: int, width: int) -> str:
+    """0 <= n < 10**width as exactly `width` decimal digits, zero-padded.
+
+    Wider numbers are split by a power of ten into a high and a low half, so
+    no single str() call sees more than _STR_CHUNK_DIGITS digits.
+    """
+    if width <= _STR_CHUNK_DIGITS:
+        return str(n).zfill(width)
+    low = width // 2
+    high, rest = divmod(n, 10**low)
+    return _decimal_digits(high, width - low) + _decimal_digits(rest, low)
 
 
 def _div_round(a: int, b: int) -> int:
@@ -261,7 +278,7 @@ class BigFixed:
         if digits == 0:
             return f"{sign}{int_part}"
         frac_digits = (frac * 10**digits) >> self.scale
-        return f"{sign}{int_part}.{str(frac_digits).zfill(digits)}"
+        return f"{sign}{int_part}.{_decimal_digits(frac_digits, digits)}"
 
     def to_scientific(self, sig: int = 3) -> str:
         """Deterministic scientific rendering, e.g. '1.23e-31' (integer math only)."""

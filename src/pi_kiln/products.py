@@ -11,6 +11,7 @@ envelopes, recorded next to the evaluator).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,7 @@ from typing import Callable
 from . import numerics
 from .errors import OutOfRange, PoleAtInteger, UnknownId
 from .exact import golden_ratio, radical_eval, sin_pi_rational
-from .numerics import BigFixed, PrecisionContext
+from .numerics import BigFixed, PrecisionContext, _div_trunc
 from .oracle import reference_pi, reference_pi_power
 
 
@@ -55,7 +56,7 @@ def _psi(n: int, beta: Fraction = Fraction(0)) -> Fraction:
 
 
 def _quadratic_product(
-    factor: Callable[[int], Fraction],
+    factor: Callable[[int], tuple],
     n: int,
     correction: str,
     ctx: PrecisionContext,
@@ -65,6 +66,12 @@ def _quadratic_product(
     err_plain: Fraction,
 ) -> ProductResult:
     """prod_{m=1..n} factor(m) for exact factors 1 + O(1/m^2).
+
+    factor(m) returns the factor as a pair of positive ints (num, den), not
+    necessarily in lowest terms.  Each step sets a = floor(a * num / den) on
+    the working mantissa a: that is the truncation mul_fraction makes, since
+    every operand is positive, and the floor of a rational does not depend on
+    how it is written, so no per-step gcd is needed.
 
     The log of the discarded tail is ~ tail_coef * psi_n(tail_shift), so
     correction="first_order" multiplies by exp of that.  The log of what
@@ -76,9 +83,11 @@ def _quadratic_product(
     if correction not in ("none", "first_order"):
         raise ValueError(f"unknown correction {correction!r}")
     wctx = ctx.working(n)
-    acc = wctx.one()
+    a = wctx.one().mantissa
     for m in range(1, n + 1):
-        acc = acc.mul_fraction(factor(m))
+        num, den = factor(m)
+        a = a * num // den
+    acc = BigFixed(a, wctx.scale)
     corrected = correction == "first_order"
     if corrected:
         acc = acc * numerics.exp(wctx.from_fraction(tail_coef * _psi(n, tail_shift)))
@@ -106,15 +115,20 @@ def euler_wallis(
     x2 = x * x
     # psi truncation + the quartic term of ln(1 - x^2/m^2)
     err_corrected = x2 / 6 + x2 * x2 / 4
-    return _quadratic_product(
-        lambda m: 1 - x2 / (m * m), n, correction, ctx, -x2, Fraction(0), err_corrected, x2
-    )
+    # 1 - x^2/m^2 = (q^2 m^2 - p^2) / (q^2 m^2) with x = p/q
+    p2, q2 = x.numerator**2, x.denominator**2
+
+    def factor(m: int) -> tuple:
+        den = q2 * m * m
+        return den - p2, den
+
+    return _quadratic_product(factor, n, correction, ctx, -x2, Fraction(0), err_corrected, x2)
 
 
 def _wallis(n: int, correction: str, ctx: PrecisionContext) -> ProductResult:
     """prod (2m)^2 / ((2m-1)(2m+1)) -> pi/2."""
     return _quadratic_product(
-        lambda m: Fraction(4 * m * m, 4 * m * m - 1),
+        lambda m: (4 * m * m, 4 * m * m - 1),
         n, correction, ctx, Fraction(1, 4), Fraction(0), Fraction(1, 12), Fraction(1, 4),
     )
 
@@ -122,7 +136,7 @@ def _wallis(n: int, correction: str, ctx: PrecisionContext) -> ProductResult:
 def _odd_square(n: int, correction: str, ctx: PrecisionContext) -> ProductResult:
     """prod (1 - 1/(2m+1)^2) -> pi/4."""
     return _quadratic_product(
-        lambda m: 1 - Fraction(1, (2 * m + 1) ** 2),
+        lambda m: (4 * m * (m + 1), (2 * m + 1) ** 2),
         n, correction, ctx, Fraction(-1, 4), Fraction(1, 2), Fraction(1, 12), Fraction(1, 4),
     )
 
@@ -160,24 +174,33 @@ def viete(iterations: int, ctx: PrecisionContext) -> ProductResult:
 
 
 def prime_sieve(limit: int) -> list:
-    """All primes <= limit, ascending (plain sieve of Eratosthenes)."""
+    """All primes <= limit, ascending (sieve of Eratosthenes over odd numbers).
+
+    flags[i] stands for the odd number 2i + 1; striking the odd multiples of
+    p from p^2 on is a step of p in i.
+    """
     if limit < 2:
         raise OutOfRange("limit must be >= 2")
-    flags = bytearray(b"\x01") * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            start = p * p
-            flags[start : limit + 1 : p] = b"\x00" * ((limit - start) // p + 1)
-    return [i for i, keep in enumerate(flags) if keep]
+    size = (limit + 1) // 2
+    flags = bytearray(b"\x01") * size
+    flags[0] = 0  # 1 is not prime
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            flags[start::p] = bytes((size - 1 - start) // p + 1)
+    return [2, *itertools.compress(range(1, limit + 1, 2), flags)]
 
 
 def _euler_zeta2(limit: int, ctx: PrecisionContext) -> ProductResult:
     primes = prime_sieve(limit)
     wctx = ctx.working(len(primes))
-    acc = wctx.one()
+    # each factor p^2/(p^2 - 1) > 0, so floor is mul_fraction's truncation
+    a = wctx.one().mantissa
     for p in primes:
-        acc = acc.mul_fraction(Fraction(p * p, p * p - 1))
+        p2 = p * p
+        a = a * p2 // (p2 - 1)
+    acc = BigFixed(a, wctx.scale)
     # sum_{p > limit} 1/(p^2-1) <= sum_{n > limit} 1/(n^2-1) <= 1/limit
     bound = abs(acc).mul_fraction(Fraction(2, limit)) + wctx.ulp() * (len(primes) + 32)
     value, bound = ctx.finish(acc, bound)
@@ -193,15 +216,13 @@ def _euler_pi4(limit: int, ctx: PrecisionContext) -> ProductResult:
     """
     primes = prime_sieve(limit)
     wctx = ctx.working(len(primes))
-    acc = wctx.one()
-    for p in primes:
-        if p == 2:
-            continue
-        eps = -1 if p % 4 == 1 else 1
-        acc = acc.mul_fraction(Fraction(p, p + eps))
+    # each factor p/(p -+ 1) > 0, so floor is mul_fraction's truncation
+    a = wctx.one().mantissa
+    for p in primes[1:]:
+        a = a * p // (p - 1 if p % 4 == 1 else p + 1)
     bound = wctx.from_fraction(Fraction(3, math.isqrt(limit) * limit.bit_length()))
     bound = bound + wctx.ulp() * (len(primes) + 32)
-    value, bound = ctx.finish(acc, bound)
+    value, bound = ctx.finish(BigFixed(a, wctx.scale), bound)
     return ProductResult(value, len(primes), False, bound)
 
 
@@ -221,16 +242,15 @@ def _nested_exponent(n: int, ctx: PrecisionContext) -> ProductResult:
     if n < 1:
         raise OutOfRange("n must be >= 1")
     wctx = ctx.working(n)
-    total = wctx.zero()
-    inner = wctx.zero()
+    total = inner = 0  # working mantissas
     for m in range(1, n + 1):
-        ln_even = numerics.ln(wctx.from_int(2 * m))
-        ln_odd = numerics.ln(wctx.from_int(2 * m - 1))
-        inner = inner + ln_even * (2 * m) - ln_odd * (2 * m - 1)
-        total = total - ln_even.mul_fraction(Fraction(2, 2 * m - 1))
-        total = total + inner.mul_fraction(Fraction(4, 4 * m * m - 1))
+        ln_even = numerics.ln(wctx.from_int(2 * m)).mantissa
+        ln_odd = numerics.ln(wctx.from_int(2 * m - 1)).mantissa
+        inner += ln_even * (2 * m) - ln_odd * (2 * m - 1)
+        total -= _div_trunc(ln_even * 2, 2 * m - 1)
+        total += _div_trunc(inner * 4, 4 * m * m - 1)
     bound = wctx.from_fraction(Fraction(n.bit_length(), n)) + wctx.ulp() * (8 * n + 32)
-    value, bound = ctx.finish(numerics.exp(total), bound)
+    value, bound = ctx.finish(numerics.exp(BigFixed(total, wctx.scale)), bound)
     return ProductResult(value, n, False, bound)
 
 

@@ -18,7 +18,7 @@ error bound covers both the method error and the accumulated truncation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
@@ -184,13 +184,28 @@ def _bernoulli(m: int) -> Fraction:
 @dataclass(frozen=True)
 class PoleSum:
     """f(t) = sum_i c_i / (t + beta_i) with sum_i c_i = 0 (so the tail
-    integral converges); everything about f is then exact or closed-form."""
+    integral converges); everything about f is then exact or closed-form.
+
+    The integer form scales the poles to integers: with L the lcm of the
+    beta_i denominators and D the lcm of the c_i denominators,
+    f(t) = (L / D) * sum_i C_i / (t L + B_i) for C_i = c_i D and B_i = beta_i L.
+    """
 
     poles: tuple
+    beta_lcm: int = field(init=False, repr=False, compare=False)  # L
+    coef_lcm: int = field(init=False, repr=False, compare=False)  # D
+    int_coefs: tuple = field(init=False, repr=False, compare=False)  # C_i
+    int_betas: tuple = field(init=False, repr=False, compare=False)  # B_i
 
     def __post_init__(self) -> None:
         if sum(c for c, _ in self.poles) != 0:
             raise ValueError("pole coefficients must sum to zero")
+        L = math.lcm(*(Fraction(beta).denominator for _, beta in self.poles))
+        D = math.lcm(*(Fraction(c).denominator for c, _ in self.poles))
+        object.__setattr__(self, "beta_lcm", L)
+        object.__setattr__(self, "coef_lcm", D)
+        object.__setattr__(self, "int_coefs", tuple(int(c * D) for c, _ in self.poles))
+        object.__setattr__(self, "int_betas", tuple(int(beta * L) for _, beta in self.poles))
 
     def term(self, n: int) -> Fraction:
         return sum((c / (n + beta) for c, beta in self.poles), Fraction(0))
@@ -213,6 +228,15 @@ class PoleSum:
         return acc
 
 
+def _rational_sum(weights, dens) -> tuple:
+    """sum_i weights_i / dens_i as an unreduced pair of ints (num, prod_i dens_i)."""
+    num, den = 0, 1
+    for weight, d in zip(weights, dens):
+        num = num * d + weight * den
+        den *= d
+    return num, den
+
+
 def _em_tail(
     poles: PoleSum, n_from: int, wctx: PrecisionContext, orders: int | None, target: Fraction
 ) -> tuple:
@@ -222,33 +246,54 @@ def _em_tail(
     is twice the first omitted correction, summed per pole (each pole term has
     high derivatives of constant sign, for which the remainder is at most
     twice the next term).
+
+    Both come from the integer form of the poles: with e_i = N L + B_i,
+    B_2j/(2j)! f^(2j-1)(N) = -B_2j/(2j) * L^(2j)/D * sum_i C_i / e_i^(2j), and
+    the powers e_i^(2j) are built once, order by order, for the corrections
+    and the bounds alike.
     """
     N = n_from
+    L, D = poles.beta_lcm, poles.coef_lcm
+    abs_coefs = [abs(C) for C in poles.int_coefs]
+    squares = [(N * L + B) ** 2 for B in poles.int_betas]
+    powers = [[1] * len(squares)]  # powers[j][i] = e_i^(2j) > 0
 
-    def correction(j: int) -> Fraction:
-        return _bernoulli(2 * j) / math.factorial(2 * j) * poles.derivative(Fraction(N), 2 * j - 1)
+    def power(j: int) -> list:
+        while len(powers) <= j:
+            powers.append([p * s for p, s in zip(powers[-1], squares)])
+        return powers[j]
 
-    def omitted_bound(j: int) -> Fraction:
-        b = abs(_bernoulli(2 * j + 2)) / (2 * j + 2)
-        total = Fraction(0)
-        for c, beta in poles.poles:
-            total += 2 * b * abs(c) / (N + beta) ** (2 * j + 2)
-        return total
+    def omitted_bound(j: int) -> tuple:
+        """sum_i 2 |B_2j+2|/(2j+2) |c_i| / (N + beta_i)^(2j+2) as ints (num, den)."""
+        b = _bernoulli(2 * j + 2)
+        num, den = _rational_sum(abs_coefs, power(j + 1))
+        return 2 * abs(b.numerator) * L ** (2 * j + 2) * num, b.denominator * (2 * j + 2) * D * den
+
+    def at_most(a: tuple, b: tuple) -> bool:
+        return a[0] * b[1] <= b[0] * a[1]
 
     if orders is None:
         orders = 1
         best = omitted_bound(1)
+        target = (target.numerator, target.denominator)
         while orders < 60:
             nxt = omitted_bound(orders + 1)
-            if best <= target or nxt >= best:
+            if at_most(best, target) or at_most(best, nxt):
                 break
             orders += 1
             best = nxt
     tail = poles.tail_integral(N, wctx)
     tail = tail - wctx.from_fraction(poles.term(N) / 2)
+    w = wctx.scale
+    corrections = 0
     for j in range(1, orders + 1):
-        tail = tail - wctx.from_fraction(correction(j))
-    return tail, omitted_bound(orders)
+        b = _bernoulli(2 * j)
+        num, den = _rational_sum(poles.int_coefs, power(j))
+        # trunc of the correction B_2j/(2j)! f^(2j-1)(N) at scale w
+        corrections += _div_trunc(
+            -b.numerator * L ** (2 * j) * num << w, b.denominator * 2 * j * D * den
+        )
+    return tail - BigFixed(corrections, w), Fraction(*omitted_bound(orders))
 
 
 def positive_series_sum(
@@ -258,20 +303,37 @@ def positive_series_sum(
     n_direct: int | None = None,
     tail_orders: int | None = None,
 ) -> SeriesResult:
-    """head + sum_{n>=1} f(n) by direct summation to N plus the EM tail."""
+    """head + sum_{n>=1} f(n) by direct summation to N plus the EM tail.
+
+    The direct part runs on the integer form of the poles: each term
+    f(n) = L * sum_i C_i / (n L + B_i) / D is built as one unreduced int pair
+    num/den and added at the working scale w as trunc(num * 2^w / den), which
+    is what from_fraction computes for the same rational.  Some n L + B_i are
+    negative, so the quotient truncates toward zero rather than flooring.
+    """
     digits = ctx.requested_digits
     if n_direct is None:
         n_direct = max(64, 3 * digits)
     max_beta = max(abs(beta) for _, beta in poles.poles)
     n_direct = max(n_direct, math.ceil(2 * max_beta) + 8)
     wctx = ctx.working(n_direct)
-    acc = wctx.from_fraction(head)
+    w = wctx.scale
+    L, D = poles.beta_lcm, poles.coef_lcm
+    int_poles = tuple(zip(poles.int_coefs, poles.int_betas))
+    acc = wctx.from_fraction(head).mantissa
     for n in range(1, n_direct + 1):
-        acc = acc + wctx.from_fraction(poles.term(n))
+        # _rational_sum written out: a call per term would cost a third of the loop
+        nL = n * L
+        num, den = 0, 1
+        for C, B in int_poles:
+            d = nL + B
+            num = num * d + C * den
+            den *= d
+        acc += _div_trunc(num * L << w, den * D)
     tail, method_bound = _em_tail(
         poles, n_direct, wctx, tail_orders, Fraction(1, 10 ** (digits + 4))
     )
-    value = acc + tail
+    value = BigFixed(acc, w) + tail
     bound = wctx.from_fraction(method_bound) + wctx.ulp() * (n_direct + 64)
     return SeriesResult(*ctx.finish(value, bound), n_direct + 1, "direct")
 

@@ -222,6 +222,13 @@ def test_cli_product(capsys):
     assert "limit: pi/2" in capsys.readouterr().out
 
 
+def test_cli_product_beyond_int_str_limit(capsys):
+    rc = cli.main(["product", "--id", "viete", "--n", "10", "--digits", "4301"])
+    assert rc == 0
+    value = capsys.readouterr().out.splitlines()[0].split(" = ")[1]
+    assert len(value.split(".")[1]) == 4301
+
+
 def test_cli_verify_exit_codes(capsys):
     rc = cli.main(["verify", "--suite", "bruno", "--digits", "15"])
     assert rc == 0

@@ -1,6 +1,7 @@
 """Fixed-point engine: exactness, ulp contracts, round-trips."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,29 @@ def test_render_exact_width():
 def test_render_negative():
     ctx = PrecisionContext(15)
     assert ctx.render(ctx.parse("-0.5")).startswith("-0.5")
+
+
+@pytest.mark.parametrize("digits", [4301, 10_000])
+def test_render_beyond_int_str_limit(digits):
+    ctx = PrecisionContext(digits)
+    values = [
+        ctx.from_fraction(Fraction(1, 3)),
+        ctx.from_fraction(Fraction(-22, 7)),
+        ctx.from_fraction(Fraction(1, 10**4500)) + ctx.from_int(12),  # a long run of zeros
+        BigFixed((7**20000) % (1 << ctx.scale), ctx.scale),
+    ]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = []
+        for v in values:
+            m = abs(v.mantissa)
+            whole = m >> v.scale
+            frac = ((m - (whole << v.scale)) * 10**digits) >> v.scale
+            expected.append(f"{'-' if v.mantissa < 0 else ''}{whole}.{str(frac).zfill(digits)}")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [ctx.render(v) for v in values] == expected
 
 
 def test_parse_rational_text():

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pi_kiln import numerics
 from pi_kiln.errors import OutOfRange, PoleAtInteger, UnknownId, UnsupportedAngle
@@ -198,7 +200,20 @@ def test_sieve_hundred_against_trial_division():
 
 
 def test_sieve_million_count():
-    assert len(prime_sieve(10**6)) == 78498
+    primes = prime_sieve(10**6)
+    assert len(primes) == 78498
+    assert primes[-1] == 999983
+
+
+def test_sieve_every_limit_against_trial_division():
+    def is_prime(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    expected = []
+    for limit in range(2, 3001):
+        if is_prime(limit):
+            expected.append(limit)
+        assert prime_sieve(limit) == expected, limit
 
 
 def test_sieve_rejects_tiny_limit():
@@ -281,3 +296,105 @@ def test_functional_equation_guards():
         functional_equation_check(Fraction(2))
     with pytest.raises(UnsupportedAngle):
         functional_equation_check(Fraction(1, 7))
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against the Fraction loops they replace
+# ---------------------------------------------------------------------------
+
+
+def _unfinished(monkeypatch):
+    """Make results come back at working precision, so kernels compare exactly."""
+    monkeypatch.setattr(PrecisionContext, "finish", lambda self, value, bound: (value, bound))
+
+
+def _fraction_quadratic_product(
+    factor, n, correction, ctx, tail_coef, tail_shift, err_corrected, err_plain
+):
+    """The quadratic product loop with one Fraction and one mul_fraction per factor."""
+    wctx = ctx.working(n)
+    acc = wctx.one()
+    for m in range(1, n + 1):
+        acc = acc.mul_fraction(factor(m))
+    if correction == "first_order":
+        b = Fraction(n + tail_shift)
+        psi = 1 / b - 1 / (2 * b * b)
+        acc = acc * numerics.exp(wctx.from_fraction(tail_coef * psi))
+        err_log = err_corrected / n**3
+    else:
+        err_log = err_plain / n
+    return acc, abs(acc).mul_fraction(2 * err_log) + wctx.ulp() * (2 * n + 32)
+
+
+def _fraction_prime_product(limit, ctx, zeta2):
+    """The two prime-product loops with one Fraction per prime."""
+    primes = prime_sieve(limit)
+    wctx = ctx.working(len(primes))
+    acc = wctx.one()
+    for p in primes:
+        if zeta2:
+            acc = acc.mul_fraction(Fraction(p * p, p * p - 1))
+        elif p != 2:
+            acc = acc.mul_fraction(Fraction(p, p + (-1 if p % 4 == 1 else 1)))
+    if zeta2:
+        bound = abs(acc).mul_fraction(Fraction(2, limit))
+    else:
+        bound = wctx.from_fraction(Fraction(3, math.isqrt(limit) * limit.bit_length()))
+    return acc, bound + wctx.ulp() * (len(primes) + 32)
+
+
+CORRECTIONS = st.sampled_from(("none", "first_order"))
+DIGITS = st.integers(min_value=5, max_value=120)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.integers(min_value=2, max_value=400),
+    p_share=st.floats(min_value=0, max_value=1),
+    n=st.integers(min_value=1, max_value=300),
+    correction=CORRECTIONS,
+    digits=DIGITS,
+)
+def test_euler_wallis_kernel_matches_fraction_loop(q, p_share, n, correction, digits):
+    x = Fraction(1 + int(p_share * (q - 2)), q)
+    x2 = x * x
+    ctx = PrecisionContext(digits)
+    with pytest.MonkeyPatch.context() as mp:
+        _unfinished(mp)
+        res = euler_wallis(x, n, correction, ctx)
+    assert (res.value, res.error_bound) == _fraction_quadratic_product(
+        lambda m: 1 - x2 / (m * m), n, correction, ctx, -x2, 0, x2 / 6 + x2 * x2 / 4, x2
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=300), correction=CORRECTIONS, digits=DIGITS
+)
+def test_wallis_and_odd_square_kernels_match_fraction_loop(n, correction, digits):
+    ctx = PrecisionContext(digits)
+    with pytest.MonkeyPatch.context() as mp:
+        _unfinished(mp)
+        wallis = catalog_eval("wallis", n, ctx, correction)
+        odd_square = catalog_eval("odd-square", n, ctx, correction)
+    quarter, twelfth = Fraction(1, 4), Fraction(1, 12)
+    assert (wallis.value, wallis.error_bound) == _fraction_quadratic_product(
+        lambda m: Fraction(4 * m * m, 4 * m * m - 1),
+        n, correction, ctx, quarter, 0, twelfth, quarter,
+    )
+    assert (odd_square.value, odd_square.error_bound) == _fraction_quadratic_product(
+        lambda m: 1 - Fraction(1, (2 * m + 1) ** 2),
+        n, correction, ctx, -quarter, Fraction(1, 2), twelfth, quarter,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(limit=st.integers(min_value=2, max_value=10**4), digits=DIGITS)
+def test_prime_product_kernels_match_fraction_loop(limit, digits):
+    ctx = PrecisionContext(digits)
+    with pytest.MonkeyPatch.context() as mp:
+        _unfinished(mp)
+        zeta2 = catalog_eval("euler-zeta2", limit, ctx)
+        pi4 = catalog_eval("euler-pi4", limit, ctx)
+    assert (zeta2.value, zeta2.error_bound) == _fraction_prime_product(limit, ctx, True)
+    assert (pi4.value, pi4.error_bound) == _fraction_prime_product(limit, ctx, False)

@@ -14,6 +14,7 @@ from pi_kiln.numerics import PrecisionContext
 from pi_kiln.oracle import reference_pi, reference_pi_power
 from pi_kiln.series import (
     APPENDIX_POLES,
+    _bernoulli,
     PairedTermStream,
     PoleSum,
     accelerated_alternating_sum,
@@ -21,6 +22,7 @@ from pi_kiln.series import (
     alternating_power_sum,
     appendix_pi_series,
     cot_difference_poles,
+    cotangent_poles,
     cot_difference_series,
     cotangent_series,
     derivative_identity_check,
@@ -338,6 +340,132 @@ def test_appendix_convergence_study():
     # order-1 tail leaves error ~ C/N^4: expect >= 8x shrink per doubling
     assert errs[0] / errs[1] >= 8
     assert errs[1] / errs[2] >= 8
+
+
+# ---------------------------------------------------------------------------
+# pole-sum integer kernels against the Fraction loops they replace
+# ---------------------------------------------------------------------------
+
+
+def _unfinished(monkeypatch):
+    """Make results come back at working precision, so kernels compare exactly."""
+    monkeypatch.setattr(PrecisionContext, "finish", lambda self, value, bound: (value, bound))
+
+
+def _fraction_positive_series_sum(head, poles, ctx, n_direct, tail_orders):
+    """positive_series_sum and its Euler-Maclaurin tail with one Fraction per
+    term and per correction, left at working precision."""
+    digits = ctx.requested_digits
+    if n_direct is None:
+        n_direct = max(64, 3 * digits)
+    n_direct = max(n_direct, math.ceil(2 * max(abs(beta) for _, beta in poles)) + 8)
+    wctx = ctx.working(n_direct)
+
+    def term(n):
+        return sum((c / (n + beta) for c, beta in poles), Fraction(0))
+
+    def derivative(t, order):
+        return sum(
+            ((-1) ** order * math.factorial(order) * c / (t + beta) ** (order + 1) for c, beta in poles),
+            Fraction(0),
+        )
+
+    def omitted_bound(j):
+        b = abs(_bernoulli(2 * j + 2)) / (2 * j + 2)
+        return sum((2 * b * abs(c) / (N + beta) ** (2 * j + 2) for c, beta in poles), Fraction(0))
+
+    acc = wctx.from_fraction(head)
+    for n in range(1, n_direct + 1):
+        acc = acc + wctx.from_fraction(term(n))
+    N = n_direct
+    orders = tail_orders
+    if orders is None:
+        orders = 1
+        best = omitted_bound(1)
+        while orders < 60:
+            nxt = omitted_bound(orders + 1)
+            if best <= Fraction(1, 10 ** (digits + 4)) or nxt >= best:
+                break
+            orders += 1
+            best = nxt
+    tail = wctx.zero()
+    for c, beta in poles:
+        tail = tail - numerics.ln(wctx.from_fraction(N + beta)).mul_fraction(c)
+    tail = tail - wctx.from_fraction(term(N) / 2)
+    for j in range(1, orders + 1):
+        correction = _bernoulli(2 * j) / math.factorial(2 * j) * derivative(Fraction(N), 2 * j - 1)
+        tail = tail - wctx.from_fraction(correction)
+    bound = wctx.from_fraction(omitted_bound(orders)) + wctx.ulp() * (n_direct + 64)
+    return acc + tail, bound
+
+
+def _rational_in(lo, hi):
+    """Non-integer rationals p/q in (lo, hi)."""
+    return st.builds(
+        lambda q, share: Fraction(math.floor(lo * q) + 1 + int(share * ((hi - lo) * q - 2)), q),
+        st.integers(min_value=2, max_value=40),
+        st.floats(min_value=0, max_value=1),
+    ).filter(lambda x: x.denominator != 1)
+
+
+POLE_SUM_ARGS = dict(
+    digits=st.integers(min_value=20, max_value=120),
+    n_direct=st.none() | st.integers(min_value=1, max_value=400),
+    tail_orders=st.none() | st.integers(min_value=0, max_value=12),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=_rational_in(-2, 3), **POLE_SUM_ARGS)
+def test_cot_kernel_matches_fraction_loop(x, digits, n_direct, tail_orders):
+    ctx = PrecisionContext(digits)
+    with pytest.MonkeyPatch.context() as mp:
+        _unfinished(mp)
+        res = cotangent_series(x, ctx, n_direct, tail_orders)
+    poles = ((Fraction(1), x), (Fraction(-1), -x))
+    assert (res.value, res.error_bound) == _fraction_positive_series_sum(
+        1 / x, poles, ctx, n_direct, tail_orders
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=_rational_in(-2, 3), a=_rational_in(-2, 3), **POLE_SUM_ARGS)
+def test_cot_diff_kernel_matches_fraction_loop(x, a, digits, n_direct, tail_orders):
+    if x == a:
+        return
+    ctx = PrecisionContext(digits)
+    with pytest.MonkeyPatch.context() as mp:
+        _unfinished(mp)
+        res = cot_difference_series(x, a, ctx, n_direct, tail_orders)
+    poles = ((Fraction(-1), -x), (Fraction(1), -a), (Fraction(1), x), (Fraction(-1), a))
+    assert (res.value, res.error_bound) == _fraction_positive_series_sum(
+        (a - x) / (x * a), poles, ctx, n_direct, tail_orders
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(**POLE_SUM_ARGS)
+def test_appendix_kernel_matches_fraction_loop(digits, n_direct, tail_orders):
+    ctx = PrecisionContext(digits)
+    with pytest.MonkeyPatch.context() as mp:
+        _unfinished(mp)
+        res = appendix_pi_series(ctx, n_direct, tail_orders)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    poles = ((half, -half), (-half, -quarter), (-half, half), (half, quarter))
+    value, bound = _fraction_positive_series_sum(Fraction(1), poles, ctx, n_direct, tail_orders)
+    assert (res.value, res.error_bound) == (value * 2, bound * 2)
+
+
+def test_pole_sum_integer_form():
+    poles = cot_difference_poles(Fraction(7, 3), Fraction(-5, 4))
+    assert (poles.beta_lcm, poles.coef_lcm) == (12, 1)
+    assert poles.int_coefs == (-1, 1, 1, -1)
+    assert poles.int_betas == (-28, 15, 28, -15)
+    assert (APPENDIX_POLES.beta_lcm, APPENDIX_POLES.coef_lcm) == (4, 2)
+    assert APPENDIX_POLES.int_coefs == (1, -1, -1, 1)
+    assert APPENDIX_POLES.int_betas == (-2, -1, 2, 1)
+    cot = cotangent_poles(Fraction(-17, 10))
+    assert (cot.beta_lcm, cot.coef_lcm, cot.int_coefs, cot.int_betas) == (10, 1, (1, -1), (-17, 17))
 
 
 # ---------------------------------------------------------------------------
