@@ -11,8 +11,10 @@ envelopes, recorded next to the evaluator).
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -173,33 +175,52 @@ def viete(iterations: int, ctx: PrecisionContext) -> ProductResult:
 # ---------------------------------------------------------------------------
 
 
-def prime_sieve(limit: int) -> list:
-    """All primes <= limit, ascending (sieve of Eratosthenes over odd numbers).
+# The largest sieve so far: the primes up to _sieved_to, kept as a compact
+# array (4 bytes a prime, not a list of int objects); smaller limits are
+# served by slicing it.
+_sieved_to = 1
+_sieved_primes = array("I")
+
+
+def _primes_upto(limit: int) -> array:
+    """All primes <= limit, ascending, as a fresh array (sieve of Eratosthenes
+    over odd numbers, run only when limit exceeds every earlier limit).
 
     flags[i] stands for the odd number 2i + 1; striking the odd multiples of
     p from p^2 on is a step of p in i.
     """
+    global _sieved_to, _sieved_primes
     if limit < 2:
         raise OutOfRange("limit must be >= 2")
-    size = (limit + 1) // 2
-    flags = bytearray(b"\x01") * size
-    flags[0] = 0  # 1 is not prime
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if flags[i]:
-            p = 2 * i + 1
-            start = p * p // 2
-            flags[start::p] = bytes((size - 1 - start) // p + 1)
-    return [2, *itertools.compress(range(1, limit + 1, 2), flags)]
+    if limit > _sieved_to:
+        size = (limit + 1) // 2
+        flags = bytearray(b"\x01") * size
+        flags[0] = 0  # 1 is not prime
+        for i in range(1, (math.isqrt(limit) + 1) // 2):
+            if flags[i]:
+                p = 2 * i + 1
+                start = p * p // 2
+                flags[start::p] = bytes((size - 1 - start) // p + 1)
+        primes = array("I" if limit < 1 << 32 else "Q", (2,))
+        primes.extend(itertools.compress(range(1, limit + 1, 2), flags))
+        _sieved_to, _sieved_primes = limit, primes
+    return _sieved_primes[: bisect.bisect_right(_sieved_primes, limit)]
+
+
+def prime_sieve(limit: int) -> list:
+    """All primes <= limit, ascending."""
+    return list(_primes_upto(limit))
 
 
 def _euler_zeta2(limit: int, ctx: PrecisionContext) -> ProductResult:
-    primes = prime_sieve(limit)
+    primes = _primes_upto(limit)
     wctx = ctx.working(len(primes))
-    # each factor p^2/(p^2 - 1) > 0, so floor is mul_fraction's truncation
+    # each factor p^2/(p^2 - 1) > 0, so floor is mul_fraction's truncation;
+    # floor(a p^2 / (p^2 - 1)) = a + floor(a / (p^2 - 1)), and nested floors
+    # compose: floor(floor(a / (p - 1)) / (p + 1)) = floor(a / (p^2 - 1))
     a = wctx.one().mantissa
     for p in primes:
-        p2 = p * p
-        a = a * p2 // (p2 - 1)
+        a += a // (p - 1) // (p + 1)
     acc = BigFixed(a, wctx.scale)
     # sum_{p > limit} 1/(p^2-1) <= sum_{n > limit} 1/(n^2-1) <= 1/limit
     bound = abs(acc).mul_fraction(Fraction(2, limit)) + wctx.ulp() * (len(primes) + 32)
@@ -214,7 +235,7 @@ def _euler_pi4(limit: int, ctx: PrecisionContext) -> ProductResult:
     envelope ~2/(sqrt(limit) ln limit) (observed errors: 1.4e-3 at 1e3,
     1.0e-3 at 1e4, 2.7e-4 at 1e5, 1.7e-6 at 1e6).
     """
-    primes = prime_sieve(limit)
+    primes = _primes_upto(limit)
     wctx = ctx.working(len(primes))
     # each factor p/(p -+ 1) > 0, so floor is mul_fraction's truncation
     a = wctx.one().mantissa

@@ -18,6 +18,7 @@ error bound covers both the method error and the accumulated truncation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -228,13 +229,22 @@ class PoleSum:
         return acc
 
 
-def _rational_sum(weights, dens) -> tuple:
-    """sum_i weights_i / dens_i as an unreduced pair of ints (num, prod_i dens_i)."""
-    num, den = 0, 1
-    for weight, d in zip(weights, dens):
-        num = num * d + weight * den
-        den *= d
-    return num, den
+# The order search compares log2 estimates of the omitted-term bounds before
+# the bounds themselves; the estimates are off by far less than half of this
+# margin (see _em_tail), so estimates a margin apart decide exactly.
+_LOG2_MARGIN = 1.0
+
+
+def _at_most(log2_a: float, log2_b: float, exact_a, exact_b) -> bool:
+    """a <= b for positive rationals given as log2 estimates, and as callables
+    returning (num, den) int pairs that run only when the estimates are less
+    than _LOG2_MARGIN apart."""
+    if log2_b - log2_a >= _LOG2_MARGIN:
+        return True
+    if log2_a - log2_b >= _LOG2_MARGIN:
+        return False
+    (a, b), (c, d) = exact_a(), exact_b()
+    return a * d <= c * b
 
 
 def _em_tail(
@@ -247,38 +257,77 @@ def _em_tail(
     high derivatives of constant sign, for which the remainder is at most
     twice the next term).
 
-    Both come from the integer form of the poles: with e_i = N L + B_i,
-    B_2j/(2j)! f^(2j-1)(N) = -B_2j/(2j) * L^(2j)/D * sum_i C_i / e_i^(2j), and
-    the powers e_i^(2j) are built once, order by order, for the corrections
-    and the bounds alike.
+    Both come from the integer form of the poles.  With e_i = N L + B_i,
+    S = prod_i e_i^2 and R_i = S / e_i^2 (an exact product of the other
+    squares), B_2j/(2j)! f^(2j-1)(N) = -B_2j/(2j) * L^(2j)/D * sum_i C_i / e_i^(2j)
+    and sum_i C_i / e_i^(2j) = (sum_i C_i R_i^j) / S^j: the same unreduced
+    int pair as adding the fractions C_i / e_i^(2j) one by one, so every
+    correction truncates to the same integer.  Order j + 1 costs one
+    multiplication per pole (R_i^j * R_i) and one for S^(j+1).
+
+    When the order is chosen here, each omitted-term bound is compared with
+    the target, and with the next bound, on log2 estimates first.  An
+    estimate adds six terms: math.log2 of an int, or such a value times at
+    most 122.  For ints of fewer than 2^32 bits (512 MiB each) every term is
+    below 2^39 and carries a few roundings of relative size 2^-53, so the
+    estimate is off by under 2^-9 bit.  Two estimates _LOG2_MARGIN = 1 bit
+    apart therefore order the exact bounds the same way; closer ones fall
+    back to an exact cross-multiplication of the int pairs.  The chosen order
+    is the one exact comparisons alone would choose.
     """
     N = n_from
     L, D = poles.beta_lcm, poles.coef_lcm
-    abs_coefs = [abs(C) for C in poles.int_coefs]
+    coefs = poles.int_coefs
+    abs_coefs = [abs(C) for C in coefs]
     squares = [(N * L + B) ** 2 for B in poles.int_betas]
-    powers = [[1] * len(squares)]  # powers[j][i] = e_i^(2j) > 0
+    S = math.prod(squares)
+    ratios = [S // s for s in squares]
+    # levels[j] = (sum_i C_i R_i^j, sum_i |C_i| R_i^j, S^j)
+    levels = [(sum(coefs), sum(abs_coefs), 1)]
+    ratio_powers = [1] * len(ratios)
 
-    def power(j: int) -> list:
-        while len(powers) <= j:
-            powers.append([p * s for p, s in zip(powers[-1], squares)])
-        return powers[j]
+    def level(j: int) -> tuple:
+        nonlocal ratio_powers
+        while len(levels) <= j:
+            ratio_powers = list(map(operator.mul, ratio_powers, ratios))
+            levels.append(
+                (
+                    sum(map(operator.mul, coefs, ratio_powers)),
+                    sum(map(operator.mul, abs_coefs, ratio_powers)),
+                    levels[-1][2] * S,
+                )
+            )
+        return levels[j]
 
     def omitted_bound(j: int) -> tuple:
         """sum_i 2 |B_2j+2|/(2j+2) |c_i| / (N + beta_i)^(2j+2) as ints (num, den)."""
         b = _bernoulli(2 * j + 2)
-        num, den = _rational_sum(abs_coefs, power(j + 1))
-        return 2 * abs(b.numerator) * L ** (2 * j + 2) * num, b.denominator * (2 * j + 2) * D * den
-
-    def at_most(a: tuple, b: tuple) -> bool:
-        return a[0] * b[1] <= b[0] * a[1]
+        _, weight, s_power = level(j + 1)
+        return 2 * abs(b.numerator) * L ** (2 * j + 2) * weight, b.denominator * (2 * j + 2) * D * s_power
 
     if orders is None:
+        log2_L, log2_S = math.log2(L), math.log2(S)
+
+        def omitted_log2(j: int) -> float:
+            b = _bernoulli(2 * j + 2)
+            return (
+                1
+                + math.log2(abs(b.numerator))
+                + (2 * j + 2) * log2_L
+                + math.log2(level(j + 1)[1])
+                - math.log2(b.denominator * (2 * j + 2) * D)
+                - (j + 1) * log2_S
+            )
+
+        goal = (target.numerator, target.denominator)
+        log2_goal = math.log2(goal[0]) - math.log2(goal[1])
         orders = 1
-        best = omitted_bound(1)
-        target = (target.numerator, target.denominator)
+        best = omitted_log2(1)
         while orders < 60:
-            nxt = omitted_bound(orders + 1)
-            if at_most(best, target) or at_most(best, nxt):
+            if _at_most(best, log2_goal, lambda: omitted_bound(orders), lambda: goal):
+                break
+            nxt = omitted_log2(orders + 1)
+            if _at_most(best, nxt, lambda: omitted_bound(orders), lambda: omitted_bound(orders + 1)):
                 break
             orders += 1
             best = nxt
@@ -288,7 +337,7 @@ def _em_tail(
     corrections = 0
     for j in range(1, orders + 1):
         b = _bernoulli(2 * j)
-        num, den = _rational_sum(poles.int_coefs, power(j))
+        num, _, den = level(j)
         # trunc of the correction B_2j/(2j)! f^(2j-1)(N) at scale w
         corrections += _div_trunc(
             -b.numerator * L ** (2 * j) * num << w, b.denominator * 2 * j * D * den
@@ -322,7 +371,7 @@ def positive_series_sum(
     int_poles = tuple(zip(poles.int_coefs, poles.int_betas))
     acc = wctx.from_fraction(head).mantissa
     for n in range(1, n_direct + 1):
-        # _rational_sum written out: a call per term would cost a third of the loop
+        # sum_i C_i / (nL + B_i) as one unreduced int pair num/den
         nL = n * L
         num, den = 0, 1
         for C, B in int_poles:

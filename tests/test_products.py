@@ -1,13 +1,14 @@
 """Product catalog: limits, corrections, convergence classes, sieve."""
 
 import math
+from array import array
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pi_kiln import numerics
+from pi_kiln import numerics, products
 from pi_kiln.errors import OutOfRange, PoleAtInteger, UnknownId, UnsupportedAngle
 from pi_kiln.exact import radical_eval, sin_pi_rational
 from pi_kiln.numerics import PrecisionContext
@@ -214,6 +215,37 @@ def test_sieve_every_limit_against_trial_division():
         if is_prime(limit):
             expected.append(limit)
         assert prime_sieve(limit) == expected, limit
+
+
+def _fresh_sieve(limit):
+    flags = bytearray([1]) * (limit + 1)
+    flags[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return [n for n in range(limit + 1) if flags[n]]
+
+
+def test_sieve_memo_serves_any_order_of_limits(monkeypatch):
+    # start from an empty memo, then rise, fall, repeat and rise again
+    monkeypatch.setattr(products, "_sieved_to", 1)
+    monkeypatch.setattr(products, "_sieved_primes", array("I"))
+    limits = (2, 3, 10, 9, 97, 2, 1000, 1000, 999, 30, 5000, 4999, 101, 7919, 7918, 3, 20000, 2)
+    for limit in limits:
+        got = prime_sieve(limit)
+        assert got == _fresh_sieve(limit), limit
+        got.append(4)  # a caller's edit to the list
+        got[0] = 6
+    assert products._sieved_to == 20000
+    assert prime_sieve(20000) == _fresh_sieve(20000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(min_value=1, max_value=2**700), p=st.integers(min_value=2, max_value=10**7))
+def test_zeta2_step_nested_floors(a, p):
+    # _euler_zeta2's step against the floor of a * p^2 / (p^2 - 1)
+    p2 = p * p
+    assert a + a // (p - 1) // (p + 1) == a * p2 // (p2 - 1)
 
 
 def test_sieve_rejects_tiny_limit():

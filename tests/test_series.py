@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pi_kiln import numerics
+from pi_kiln import numerics, series
 from pi_kiln.errors import CoincidentPoints, NonAlternating, PoleAtInteger, SingularPoint
 from pi_kiln.exact import radical_eval, sin_pi_rational, sqrt_expr
 from pi_kiln.numerics import PrecisionContext
@@ -454,6 +454,83 @@ def test_appendix_kernel_matches_fraction_loop(digits, n_direct, tail_orders):
     poles = ((half, -half), (-half, -quarter), (-half, half), (half, quarter))
     value, bound = _fraction_positive_series_sum(Fraction(1), poles, ctx, n_direct, tail_orders)
     assert (res.value, res.error_bound) == (value * 2, bound * 2)
+
+
+def _pole_sum_case(kind, x, a):
+    """(kernel(ctx, n_direct, tail_orders), head, poles, factor) for cot,
+    cot-diff or appendix; the kernel's result is factor times the pole sum."""
+    if kind == "cot":
+        return (lambda *args: cotangent_series(x, *args)), 1 / x, ((Fraction(1), x), (Fraction(-1), -x)), 1
+    if kind == "cot-diff":
+        poles = ((Fraction(-1), -x), (Fraction(1), -a), (Fraction(1), x), (Fraction(-1), a))
+        return (lambda *args: cot_difference_series(x, a, *args)), (a - x) / (x * a), poles, 1
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    poles = ((half, -half), (-half, -quarter), (-half, half), (half, quarter))
+    return appendix_pi_series, Fraction(1), poles, 2
+
+
+KINDS = st.sampled_from(("cot", "cot-diff", "appendix"))
+
+
+@settings(max_examples=20, deadline=None)
+@given(kind=KINDS, x=_rational_in(-2, 3), a=_rational_in(-2, 3), digits=st.integers(min_value=150, max_value=240))
+def test_pole_sum_kernels_match_fraction_loop_at_high_digits(kind, x, a, digits):
+    # default N and default Euler-Maclaurin orders, where the order search runs
+    # deepest (about 40 orders at 240 digits)
+    if x == a:
+        return
+    kernel, head, poles, factor = _pole_sum_case(kind, x, a)
+    ctx = PrecisionContext(digits)
+    with pytest.MonkeyPatch.context() as mp:
+        _unfinished(mp)
+        res = kernel(ctx, None, None)
+    value, bound = _fraction_positive_series_sum(head, poles, ctx, None, None)
+    assert (res.value, res.error_bound) == (value * factor, bound * factor)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=KINDS,
+    x=_rational_in(-2, 3),
+    a=_rational_in(-2, 3),
+    digits=st.integers(min_value=20, max_value=240),
+    n_direct=st.none() | st.integers(min_value=1, max_value=80),
+)
+def test_em_order_search_exact_fallback_agrees(kind, x, a, digits, n_direct):
+    # an infinite margin sends every order decision to the exact comparison;
+    # small N puts consecutive bounds close together, so the default path
+    # falls back there too
+    if x == a:
+        return
+    kernel = _pole_sum_case(kind, x, a)[0]
+    ctx = PrecisionContext(digits)
+    with pytest.MonkeyPatch.context() as mp:
+        _unfinished(mp)
+        default = kernel(ctx, n_direct, None)
+        mp.setattr(series, "_LOG2_MARGIN", math.inf)
+        exact = kernel(ctx, n_direct, None)
+    assert (default.value, default.error_bound) == (exact.value, exact.error_bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.tuples(st.integers(min_value=1, max_value=2**600), st.integers(min_value=1, max_value=2**600)),
+    b=st.tuples(st.integers(min_value=1, max_value=2**600), st.integers(min_value=1, max_value=2**600)),
+)
+def test_at_most_matches_exact_comparison(a, b):
+    def log2(pair):
+        return math.log2(pair[0]) - math.log2(pair[1])
+
+    calls = []
+
+    def exact(pair):
+        calls.append(pair)
+        return pair
+
+    got = series._at_most(log2(a), log2(b), lambda: exact(a), lambda: exact(b))
+    assert got == (Fraction(*a) <= Fraction(*b))
+    # the exact pairs are read only when the estimates are a margin apart or less
+    assert bool(calls) == (abs(log2(a) - log2(b)) < series._LOG2_MARGIN)
 
 
 def test_pole_sum_integer_form():
