@@ -15,7 +15,7 @@ from .bruno import bk_eval, bk_symbolic, render_bk
 from .errors import KilnError
 from .fourier import fourier_partial_sum, residual_table
 from .numerics import PrecisionContext
-from .products import CATALOG, catalog_eval, catalog_ids, catalog_limit
+from .products import CATALOG, CORRECTIONS, catalog_eval, catalog_ids, catalog_limit
 
 
 def _fraction(text: str) -> Fraction:
@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_non_negative, required=True)
     p.add_argument("--x", type=_fraction, required=True, metavar="p/q")
     p.add_argument("--digits", type=_digits, required=True)
-    p.add_argument("--method", choices=["direct", "accelerated"], default="accelerated")
+    p.add_argument("--method", choices=series.METHODS, default="accelerated")
 
     p = sub.add_parser("bk", help="closed form (and value) of the series prefactor")
     p.add_argument("--k", type=_non_negative, required=True)
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=_digits, default=30)
 
     p = sub.add_parser("series", help="evaluate one of the series identities")
-    p.add_argument("--id", choices=["recip-sine", "cot", "cot-diff", "appendix"], required=True)
+    p.add_argument("--id", choices=[i for i in harness.SERIES if i != "pi-power"], required=True)
     p.add_argument("--x", type=_fraction, default=None, metavar="p/q")
     p.add_argument("--a", type=_fraction, default=None, metavar="p/q")
     p.add_argument("--digits", type=_digits, required=True)
@@ -78,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product", help="evaluate a catalog product")
     p.add_argument("--id", choices=catalog_ids())
     p.add_argument("--n", type=int)
-    p.add_argument("--correction", choices=["none", "first-order"], default="first-order")
+    corrections = [c.replace("_", "-") for c in CORRECTIONS]
+    p.add_argument("--correction", choices=corrections, default="first-order")
     p.add_argument("--digits", type=_digits)
     p.add_argument("--list", action="store_true", help="list the catalog and exit")
 
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true", help="include elapsed_ms (non-deterministic)")
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=["all", "series", "products", "bruno"], required=True)
+    p.add_argument("--suite", choices=harness.SUITES, required=True)
     p.add_argument("--digits", type=_digits, required=True)
 
     p = sub.add_parser("fourier-check", help="closed-form coefficients vs quadrature")
@@ -100,14 +101,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_pi_power(args) -> int:
-    ctx = PrecisionContext(args.digits)
-    res = series.pi_power_from_series(args.k, args.x, ctx, method=args.method)
-    print(f"pi^{args.k + 1} = {ctx.render(res.value)}")
+def _print_series(series_id: str, params: dict, digits: int) -> int:
+    spec = harness.SERIES[series_id]
+    if any(params.get(name) is None for name in spec.needs):
+        names = " and ".join(f"--{name}" for name in spec.needs)
+        verb = "is" if len(spec.needs) == 1 else "are"
+        print(f"error: {names} {verb} required for {series_id}", file=sys.stderr)
+        return 2
+    ctx = PrecisionContext(digits)
+    res = spec.evaluate(params, ctx, None)
+    print(f"{spec.label(params)} = {ctx.render(res.value)}")
     print(f"error_bound <= {res.error_bound.to_scientific(3)}")
     print(f"terms_used = {res.terms_used}")
     print(f"method = {res.method}")
     return 0
+
+
+def _cmd_pi_power(args) -> int:
+    return _print_series("pi-power", {"k": args.k, "x": args.x, "method": args.method}, args.digits)
 
 
 def _cmd_bk(args) -> int:
@@ -121,33 +132,7 @@ def _cmd_bk(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    ctx = PrecisionContext(args.digits)
-    if args.id == "appendix":
-        res = series.appendix_pi_series(ctx)
-        label = "appendix-pi"
-    elif args.id == "recip-sine":
-        if args.x is None:
-            print("error: --x is required for recip-sine", file=sys.stderr)
-            return 2
-        res = series.reciprocal_sine_series(args.x, ctx)
-        label = f"pi/sin(pi*{args.x})"
-    elif args.id == "cot":
-        if args.x is None:
-            print("error: --x is required for cot", file=sys.stderr)
-            return 2
-        res = series.cotangent_series(args.x, ctx)
-        label = f"pi*cot(pi*{args.x})"
-    else:  # cot-diff
-        if args.x is None or args.a is None:
-            print("error: --x and --a are required for cot-diff", file=sys.stderr)
-            return 2
-        res = series.cot_difference_series(args.x, args.a, ctx)
-        label = f"pi*cot(pi*{args.x}) - pi*cot(pi*{args.a})"
-    print(f"{label} = {ctx.render(res.value)}")
-    print(f"error_bound <= {res.error_bound.to_scientific(3)}")
-    print(f"terms_used = {res.terms_used}")
-    print(f"method = {res.method}")
-    return 0
+    return _print_series(args.id, {"x": args.x, "a": args.a}, args.digits)
 
 
 def _cmd_product(args) -> int:

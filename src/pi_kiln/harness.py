@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from io import StringIO
+from typing import Callable, NamedTuple
 
 from . import numerics, series
 from .bruno import bk_eval, bk_symbolic, render_bk
@@ -23,6 +24,8 @@ from .numerics import BigFixed, PrecisionContext
 from .oracle import reference_pi, reference_pi_power
 from .partitions import enumerate_constrained
 from .products import (
+    CORRECTIONS,
+    EULER_WALLIS_POINTS,
     catalog_eval,
     catalog_limit,
     euler_wallis,
@@ -70,6 +73,10 @@ class StudyRow:
     elapsed_ms: float
 
 
+# target parameters that are not plain strings
+_PARAM_TYPES = {"k": int, "orders": int, "x": Fraction, "a": Fraction}
+
+
 def _parse_target(target: str) -> tuple:
     parts = target.split(":")
     formula_id = parts[0].strip()
@@ -81,57 +88,31 @@ def _parse_target(target: str) -> tuple:
         key = key.strip()
         raw = raw.strip()
         try:
-            if key in ("k", "orders"):
-                params[key] = int(raw)
-            elif key in ("x", "a"):
-                params[key] = Fraction(raw)
-            else:
-                params[key] = raw
+            params[key] = _PARAM_TYPES.get(key, str)(raw)
         except (ValueError, ZeroDivisionError) as exc:
             raise UnknownId(f"bad target parameter {piece!r}") from exc
     if params.get("k", 0) < 0 or params.get("orders", 0) < 0:
         raise UnknownId("target parameters k and orders must be >= 0")
-    if params.get("method", "accelerated") not in ("accelerated", "direct"):
+    if params.get("method", "accelerated") not in series.METHODS:
         raise UnknownId(f"unknown method {params['method']!r}")
-    if params.get("correction", "first-order").replace("-", "_") not in ("none", "first_order"):
+    if params.get("correction", "first-order").replace("-", "_") not in CORRECTIONS:
         raise UnknownId(f"unknown correction {params['correction']!r}")
     return formula_id, params
 
 
-_SERIES_IDS = ("recip-sine", "cot", "cot-diff", "appendix", "pi-power")
-
-
 def _study_point(formula_id: str, params: dict, n: int, ctx: PrecisionContext):
     """(value, bound, limit) for one grid point, from the function the CLI calls."""
-    method = params.get("method", "accelerated")
-    orders = params.get("orders", 1)
-    x = params.get("x")
-    if formula_id in ("recip-sine", "cot", "cot-diff", "pi-power") and x is None:
-        raise UnknownId(f"target {formula_id!r} requires x=<p/q>")
-    if formula_id == "cot-diff" and params.get("a") is None:
-        raise UnknownId("target 'cot-diff' requires a=<p/q>")
-    if formula_id == "recip-sine":
-        res = series.reciprocal_sine_series(x, ctx, method, n_terms=n)
-        limit = reciprocal_sine_target(x, ctx)
-    elif formula_id == "pi-power":
-        k = params.get("k", 0)
-        res = series.pi_power_from_series(k, x, ctx, method, n_terms=n)
-        limit = reference_pi_power(k + 1, ctx)
-    elif formula_id == "cot":
-        res = series.cotangent_series(x, ctx, n_direct=n, tail_orders=orders)
-        limit = cotangent_target(x, ctx)
-    elif formula_id == "cot-diff":
-        a = params["a"]
-        res = series.cot_difference_series(x, a, ctx, n_direct=n, tail_orders=orders)
-        limit = cotangent_target(x, ctx) - cotangent_target(a, ctx)
-    elif formula_id == "appendix":
-        res = series.appendix_pi_series(ctx, n_direct=n, tail_orders=orders)
-        limit = reference_pi(ctx)
-    else:  # a product catalog id
+    spec = SERIES.get(formula_id)
+    if spec is None:  # a product catalog id
         correction = params.get("correction", "first-order").replace("-", "_")
         res = catalog_eval(formula_id, n, ctx, correction=correction)
-        limit = catalog_limit(formula_id, ctx)
-    return res.value, res.error_bound, limit
+        return res.value, res.error_bound, catalog_limit(formula_id, ctx)
+    for name in spec.needs:
+        if params.get(name) is None:
+            raise UnknownId(f"target {formula_id!r} requires {name}=<p/q>")
+    params = {"orders": 1, **params}  # a study defaults to one Euler-Maclaurin order
+    res = spec.evaluate(params, ctx, n)
+    return res.value, res.error_bound, spec.limit(params, ctx)
 
 
 def convergence_study(target: str, grid, ctx: PrecisionContext | None = None):
@@ -139,7 +120,7 @@ def convergence_study(target: str, grid, ctx: PrecisionContext | None = None):
     if ctx is None:
         ctx = PrecisionContext(30)
     formula_id, params = _parse_target(target)
-    if formula_id not in _SERIES_IDS:
+    if formula_id not in SERIES:
         catalog_limit(formula_id, ctx)  # raises UnknownId early
 
     def row(n: int) -> StudyRow:
@@ -194,7 +175,7 @@ def study_to_csv(rows, include_timing: bool = False) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Oracle-derived targets
+# Series identities and their oracle targets
 # ---------------------------------------------------------------------------
 
 
@@ -211,6 +192,56 @@ def cotangent_target(x: Fraction, ctx: PrecisionContext) -> BigFixed:
     s = radical_eval(sin_pi_rational(x), wctx)
     c = radical_eval(cos_pi_rational(x), wctx)
     return (reference_pi(wctx) * c / s).rescale(ctx.scale)
+
+
+class SeriesSpec(NamedTuple):
+    """A series identity: the parameters it needs, evaluate(params, ctx, n)
+    by its public series function (N and the Euler-Maclaurin orders are its
+    own choice unless n or params["orders"] is set), oracle limit and label."""
+
+    needs: tuple
+    evaluate: Callable
+    limit: Callable
+    label: Callable
+
+
+# in the order the CLI lists them; pi-power has its own subcommand
+SERIES = {
+    "recip-sine": SeriesSpec(
+        ("x",),
+        lambda p, ctx, n: series.reciprocal_sine_series(
+            p["x"], ctx, p.get("method", "accelerated"), n
+        ),
+        lambda p, ctx: reciprocal_sine_target(p["x"], ctx),
+        lambda p: f"pi/sin(pi*{p['x']})",
+    ),
+    "cot": SeriesSpec(
+        ("x",),
+        lambda p, ctx, n: series.cotangent_series(p["x"], ctx, n, p.get("orders")),
+        lambda p, ctx: cotangent_target(p["x"], ctx),
+        lambda p: f"pi*cot(pi*{p['x']})",
+    ),
+    "cot-diff": SeriesSpec(
+        ("x", "a"),
+        lambda p, ctx, n: series.cot_difference_series(p["x"], p["a"], ctx, n, p.get("orders")),
+        lambda p, ctx: cotangent_target(p["x"], ctx) - cotangent_target(p["a"], ctx),
+        lambda p: f"pi*cot(pi*{p['x']}) - pi*cot(pi*{p['a']})",
+    ),
+    "appendix": SeriesSpec(
+        (),
+        lambda p, ctx, n: series.appendix_pi_series(ctx, n, p.get("orders")),
+        lambda p, ctx: reference_pi(ctx),
+        lambda p: "appendix-pi",
+    ),
+    "pi-power": SeriesSpec(
+        ("x",),
+        lambda p, ctx, n: series.pi_power_from_series(
+            p.get("k", 0), p["x"], ctx, p.get("method", "accelerated"), n
+        ),
+        lambda p, ctx: reference_pi_power(p.get("k", 0) + 1, ctx),
+        lambda p: f"pi^{p.get('k', 0) + 1}",
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -239,41 +270,22 @@ def _check_float(check_id: str, residual: float, bound: float) -> CheckResult:
 def _series_checks(ctx: PrecisionContext):
     checks = []
     pi = reference_pi(ctx)
-    recip_targets = {
-        Fraction(1, 4): None,
-        Fraction(1, 3): None,
-        Fraction(1, 6): None,
-        Fraction(1, 2): None,
-    }
-    for x in recip_targets:
-        res = series.reciprocal_sine_series(x, ctx)
-        target = reciprocal_sine_target(x, ctx)
-        checks.append(
-            _check(f"recip-sine-x={x}", abs(res.value - target), res.error_bound + ctx.ulp() * 16)
-        )
-    for x in recip_targets:
-        res = series.cotangent_series(x, ctx)
-        target = cotangent_target(x, ctx)
-        checks.append(
-            _check(f"cot-x={x}", abs(res.value - target), res.error_bound + ctx.ulp() * 16)
-        )
-    for x in (Fraction(1, 4), Fraction(1, 6)):
-        for k in range(0, 7):
-            try:
-                res = series.pi_power_from_series(k, x, ctx)
-            except SingularPoint:
-                checks.append(
-                    CheckResult(f"pi-power-k={k}-x={x}", "singular", "singular", True)
-                )
-                continue
-            target = reference_pi_power(k + 1, ctx)
-            checks.append(
-                _check(
-                    f"pi-power-k={k}-x={x}",
-                    abs(res.value - target),
-                    res.error_bound + ctx.ulp() * 16,
-                )
-            )
+    x_points = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 6), Fraction(1, 2))
+    cases = [
+        *(("recip-sine", {"x": x}) for x in x_points),
+        *(("cot", {"x": x}) for x in x_points),
+        *(("pi-power", {"k": k, "x": x}) for x in x_points[::2] for k in range(7)),  # 1/4, 1/6
+    ]
+    for series_id, params in cases:
+        spec = SERIES[series_id]
+        check_id = series_id + "".join(f"-{key}={value}" for key, value in params.items())
+        try:
+            res = spec.evaluate(params, ctx, None)
+        except SingularPoint:
+            checks.append(CheckResult(check_id, "singular", "singular", True))
+            continue
+        residual = abs(res.value - spec.limit(params, ctx))
+        checks.append(_check(check_id, residual, res.error_bound + ctx.ulp() * 16))
     res = series.appendix_pi_series(ctx)
     checks.append(_check("appendix-pi", abs(res.value - pi), res.error_bound + ctx.ulp() * 16))
     res = series.cot_difference_series(Fraction(1, 4), Fraction(1, 2), ctx)
@@ -299,14 +311,7 @@ def _series_checks(ctx: PrecisionContext):
 def _products_checks(ctx: PrecisionContext):
     checks = []
     pi = reference_pi(ctx)
-    for x in (
-        Fraction(1, 4),
-        Fraction(1, 2),
-        Fraction(1, 5),
-        Fraction(1, 10),
-        Fraction(1, 3),
-        Fraction(1, 6),
-    ):
+    for x, _ in EULER_WALLIS_POINTS:
         res = euler_wallis(x, 4000, "first_order", ctx)
         s = radical_eval(sin_pi_rational(x), ctx)
         lhs = res.value * pi.mul_fraction(x)
@@ -372,6 +377,7 @@ _SUITES = {
     "products": _products_checks,
     "bruno": _bruno_checks,
 }
+SUITES = ("all", *_SUITES)
 
 
 def verify(suite: str, digits: int) -> tuple:
@@ -380,12 +386,9 @@ def verify(suite: str, digits: int) -> tuple:
     Output is byte-identical across runs: check order is fixed and no timing
     information is included.
     """
-    if suite == "all":
-        names = ["series", "products", "bruno"]
-    elif suite in _SUITES:
-        names = [suite]
-    else:
+    if suite not in SUITES:
         raise UnknownId(f"unknown suite {suite!r}")
+    names = list(_SUITES) if suite == "all" else [suite]
     ctx = PrecisionContext(digits)
     lines = []
     total = passed = 0

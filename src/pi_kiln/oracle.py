@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .numerics import BigFixed, PrecisionContext, _shift_round
+from .numerics import BigFixed, PrecisionContext, _shift_round, ipow
 
 _GUARD_BITS = 16
 
@@ -70,12 +70,4 @@ def reference_pi_power(exponent: int, ctx: PrecisionContext) -> BigFixed:
     if exponent < 0:
         raise ValueError("exponent must be >= 0")
     w = ctx.scale + _GUARD_BITS + exponent.bit_length() * 2
-    base = BigFixed(_pi_mantissa(w), w)
-    result = BigFixed(1 << w, w)
-    n = exponent
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base
-        n >>= 1
-    return result.rescale_round(ctx.scale)
+    return ipow(BigFixed(_pi_mantissa(w), w), exponent).rescale_round(ctx.scale)

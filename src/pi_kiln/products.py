@@ -12,10 +12,11 @@ envelopes, recorded next to the evaluator).
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -32,6 +33,10 @@ class ProductSpec:
     description: str
     limit_expr: str
     convergence_class: str  # "quadratic" | "geometric" | "prime" | "slow"
+    # (n, correction, ctx) -> ProductResult in the quadratic class, (n, ctx) otherwise
+    evaluate: Callable = field(repr=False, compare=False)
+    # wctx -> the exact limit at that scale, from the oracle pi and exact radicals
+    limit: Callable = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -44,6 +49,10 @@ class ProductResult:
     def __post_init__(self) -> None:
         if self.error_bound.mantissa <= 0:
             raise ValueError("error_bound must be positive")
+
+
+# tail corrections of the quadratic class, in the order the CLI lists them
+CORRECTIONS = ("none", "first_order")
 
 
 def _psi(n: int, beta: Fraction = Fraction(0)) -> Fraction:
@@ -82,7 +91,7 @@ def _quadratic_product(
     """
     if n < 1:
         raise OutOfRange("n must be >= 1")
-    if correction not in ("none", "first_order"):
+    if correction not in CORRECTIONS:
         raise ValueError(f"unknown correction {correction!r}")
     wctx = ctx.working(n)
     a = wctx.one().mantissa
@@ -279,65 +288,69 @@ def _nested_exponent(n: int, ctx: PrecisionContext) -> ProductResult:
 # Catalog
 # ---------------------------------------------------------------------------
 
-_EW_POINTS = {
-    "euler-wallis-1-4": Fraction(1, 4),
-    "euler-wallis-1-2": Fraction(1, 2),
-    "euler-wallis-1-5": Fraction(1, 5),
-    "euler-wallis-1-10": Fraction(1, 10),
-    "euler-wallis-1-3": Fraction(1, 3),
-    "euler-wallis-1-6": Fraction(1, 6),
-}
-
-_EW_LIMITS = {
-    "euler-wallis-1-4": "2*sqrt(2)/pi",
-    "euler-wallis-1-2": "2/pi",
-    "euler-wallis-1-5": "5*sqrt(3-phi)/(2*pi)",
-    "euler-wallis-1-10": "5/(pi*phi)",
-    "euler-wallis-1-3": "3*sqrt(3)/(2*pi)",
-    "euler-wallis-1-6": "3/pi",
-}
-
-CATALOG: dict = {}
+# the sine factorization's catalog points x, with the closed form of its limit
+EULER_WALLIS_POINTS = (
+    (Fraction(1, 4), "2*sqrt(2)/pi"),
+    (Fraction(1, 2), "2/pi"),
+    (Fraction(1, 5), "5*sqrt(3-phi)/(2*pi)"),
+    (Fraction(1, 10), "5/(pi*phi)"),
+    (Fraction(1, 3), "3*sqrt(3)/(2*pi)"),
+    (Fraction(1, 6), "3/pi"),
+)
 
 
-def _register(spec: ProductSpec) -> None:
-    if spec.id in CATALOG:
-        raise ValueError(f"duplicate catalog id {spec.id}")
-    CATALOG[spec.id] = spec
+def _euler_wallis_entry(x: Fraction, limit_expr: str) -> ProductSpec:
+    return ProductSpec(
+        f"euler-wallis-{x.numerator}-{x.denominator}",
+        f"prod (1 - x^2/n^2), the sine factorization, at x = {x}",
+        limit_expr,
+        "quadratic",
+        functools.partial(euler_wallis, x),
+        lambda wctx: radical_eval(sin_pi_rational(x), wctx) / reference_pi(wctx).mul_fraction(x),
+    )
 
 
-for _id, _x in _EW_POINTS.items():
-    _register(
+def _pi_over(m: int) -> Callable:
+    return lambda wctx: reference_pi(wctx) / m
+
+
+CATALOG: dict = {
+    spec.id: spec
+    for spec in (
+        *(_euler_wallis_entry(x, limit_expr) for x, limit_expr in EULER_WALLIS_POINTS),
         ProductSpec(
-            _id,
-            f"prod (1 - x^2/n^2), the sine factorization, at x = {_x}",
-            _EW_LIMITS[_id],
-            "quadratic",
-        )
+            "wallis", "prod (2n/(2n-1)) (2n/(2n+1))", "pi/2", "quadratic", _wallis, _pi_over(2)
+        ),
+        ProductSpec(
+            "odd-square", "prod (1 - 1/(2n+1)^2)", "pi/4", "quadratic", _odd_square, _pi_over(4)
+        ),
+        ProductSpec(
+            "viete", "prod 1/cos(pi/2^n) via nested radicals", "pi/2", "geometric", viete, _pi_over(2)
+        ),
+        ProductSpec(
+            "euler-zeta2", "prod p^2/(p^2-1) over primes", "pi^2/6", "prime", _euler_zeta2,
+            lambda wctx: reference_pi_power(2, wctx) / 6,
+        ),
+        ProductSpec(
+            "euler-pi4", "prod p/(p + (-1)^((p+1)/2)) over odd primes", "pi/4", "prime",
+            _euler_pi4, _pi_over(4),
+        ),
+        ProductSpec(
+            "nested-exponent", "prod (1/2n)^(2/(2n-1)) [prod (2k)^2k/(2k-1)^(2k-1)]^(4/(4n^2-1))",
+            "pi/2", "slow", _nested_exponent, _pi_over(2),
+        ),
     )
-_register(ProductSpec("wallis", "prod (2n/(2n-1)) (2n/(2n+1))", "pi/2", "quadratic"))
-_register(ProductSpec("odd-square", "prod (1 - 1/(2n+1)^2)", "pi/4", "quadratic"))
-_register(
-    ProductSpec("viete", "prod 1/cos(pi/2^n) via nested radicals", "pi/2", "geometric")
-)
-_register(ProductSpec("euler-zeta2", "prod p^2/(p^2-1) over primes", "pi^2/6", "prime"))
-_register(
-    ProductSpec(
-        "euler-pi4", "prod p/(p + (-1)^((p+1)/2)) over odd primes", "pi/4", "prime"
-    )
-)
-_register(
-    ProductSpec(
-        "nested-exponent",
-        "prod (1/2n)^(2/(2n-1)) [prod (2k)^2k/(2k-1)^(2k-1)]^(4/(4n^2-1))",
-        "pi/2",
-        "slow",
-    )
-)
+}
 
 
 def catalog_ids() -> list:
     return list(CATALOG)
+
+
+def _spec(id: str) -> ProductSpec:
+    if id not in CATALOG:
+        raise UnknownId(f"no catalog entry {id!r}")
+    return CATALOG[id]
 
 
 def catalog_eval(
@@ -348,42 +361,16 @@ def catalog_eval(
     The correction flag applies to the quadratic class; other classes have no
     analytic first-order tail and ignore it.
     """
-    if id not in CATALOG:
-        raise UnknownId(f"no catalog entry {id!r}")
-    if id in _EW_POINTS:
-        return euler_wallis(_EW_POINTS[id], n, correction, ctx)
-    if id == "wallis":
-        return _wallis(n, correction, ctx)
-    if id == "odd-square":
-        return _odd_square(n, correction, ctx)
-    if id == "viete":
-        return viete(n, ctx)
-    if id == "euler-zeta2":
-        return _euler_zeta2(n, ctx)
-    if id == "euler-pi4":
-        return _euler_pi4(n, ctx)
-    if id == "nested-exponent":
-        return _nested_exponent(n, ctx)
-    raise UnknownId(f"no evaluator for {id!r}")  # pragma: no cover
+    spec = _spec(id)
+    if spec.convergence_class == "quadratic":
+        return spec.evaluate(n, correction, ctx)
+    return spec.evaluate(n, ctx)
 
 
 def catalog_limit(id: str, ctx: PrecisionContext) -> BigFixed:
     """The exact limit of a catalog entry, via the oracle pi and exact radicals."""
-    if id not in CATALOG:
-        raise UnknownId(f"no catalog entry {id!r}")
     wctx = PrecisionContext(ctx.requested_digits + 4, ctx.guard_digits)
-    pi = reference_pi(wctx)
-    if id in _EW_POINTS:
-        x = _EW_POINTS[id]
-        s = radical_eval(sin_pi_rational(x), wctx)
-        return (s / pi.mul_fraction(x)).rescale(ctx.scale)
-    if id in ("wallis", "viete", "nested-exponent"):
-        return (pi / 2).rescale(ctx.scale)
-    if id in ("odd-square", "euler-pi4"):
-        return (pi / 4).rescale(ctx.scale)
-    if id == "euler-zeta2":
-        return (reference_pi_power(2, wctx) / 6).rescale(ctx.scale)
-    raise UnknownId(f"no limit for {id!r}")  # pragma: no cover
+    return _spec(id).limit(wctx).rescale(ctx.scale)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 from . import numerics
@@ -171,15 +170,37 @@ def direct_alternating_sum(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _bernoulli(m: int) -> Fraction:
-    """Bernoulli number B_m (B_1 = -1/2 convention), exact."""
-    if m == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for j in range(m):
-        total += math.comb(m + 1, j) * _bernoulli(j)
-    return -total / (m + 1)
+# [0, T_1, T_2, ...]: the tangent numbers found so far, grown by _bernoulli_ratio
+_tangent = [0]
+
+
+def _tangent_numbers(n: int) -> list:
+    """[0, T_1, ..., T_n], the tangent numbers (tan x = sum T_j x^(2j-1)/(2j-1)!),
+    by Algorithm TangentNumbers of Brent and Harvey, "Fast computation of
+    Bernoulli, tangent and secant numbers" (2011): O(n^2) multiplications of
+    an int by a small int, no division."""
+    t = [0, 1]
+    for k in range(2, n + 1):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+def _bernoulli_ratio(j: int) -> tuple:
+    """B_2j / (2j) as an int pair (num, den), den > 0, for j >= 1.
+
+    B_2j / (2j) = (-1)^(j-1) T_j / (4^j (4^j - 1)).  The table of T_j is
+    built on first use and rebuilt at least twice as long whenever a larger
+    j is asked for, so its total cost stays within twice that of the last
+    build.
+    """
+    global _tangent
+    if j >= len(_tangent):
+        _tangent = _tangent_numbers(max(j, 2 * (len(_tangent) - 1)))
+    four_j = 1 << (2 * j)
+    return (_tangent[j] if j % 2 else -_tangent[j]), four_j * (four_j - 1)
 
 
 @dataclass(frozen=True)
@@ -263,17 +284,22 @@ def _em_tail(
     and sum_i C_i / e_i^(2j) = (sum_i C_i R_i^j) / S^j: the same unreduced
     int pair as adding the fractions C_i / e_i^(2j) one by one, so every
     correction truncates to the same integer.  Order j + 1 costs one
-    multiplication per pole (R_i^j * R_i) and one for S^(j+1).
+    multiplication per pole (R_i^j * R_i) and one for S^(j+1).  B_2j/(2j)
+    enters as the int pair ((-1)^(j-1) T_j, 4^j (4^j - 1)) of _bernoulli_ratio,
+    not in lowest terms; the truncation of a rational and the outcome of a
+    cross-multiplied comparison do not depend on how it is written, so the
+    corrections and the exact comparisons are those of the reduced B_2j.
 
     When the order is chosen here, each omitted-term bound is compared with
     the target, and with the next bound, on log2 estimates first.  An
     estimate adds six terms: math.log2 of an int, or such a value times at
     most 122.  For ints of fewer than 2^32 bits (512 MiB each) every term is
     below 2^39 and carries a few roundings of relative size 2^-53, so the
-    estimate is off by under 2^-9 bit.  Two estimates _LOG2_MARGIN = 1 bit
-    apart therefore order the exact bounds the same way; closer ones fall
-    back to an exact cross-multiplication of the int pairs.  The chosen order
-    is the one exact comparisons alone would choose.
+    estimate is off by under 2^-9 bit, whichever ints represent the bound.
+    Two estimates _LOG2_MARGIN = 1 bit apart therefore order the exact
+    bounds the same way; closer ones fall back to an exact
+    cross-multiplication of the int pairs.  The chosen order is the one
+    exact comparisons alone would choose.
     """
     N = n_from
     L, D = poles.beta_lcm, poles.coef_lcm
@@ -301,21 +327,21 @@ def _em_tail(
 
     def omitted_bound(j: int) -> tuple:
         """sum_i 2 |B_2j+2|/(2j+2) |c_i| / (N + beta_i)^(2j+2) as ints (num, den)."""
-        b = _bernoulli(2 * j + 2)
+        b_num, b_den = _bernoulli_ratio(j + 1)
         _, weight, s_power = level(j + 1)
-        return 2 * abs(b.numerator) * L ** (2 * j + 2) * weight, b.denominator * (2 * j + 2) * D * s_power
+        return 2 * abs(b_num) * L ** (2 * j + 2) * weight, b_den * D * s_power
 
     if orders is None:
         log2_L, log2_S = math.log2(L), math.log2(S)
 
         def omitted_log2(j: int) -> float:
-            b = _bernoulli(2 * j + 2)
+            b_num, b_den = _bernoulli_ratio(j + 1)
             return (
                 1
-                + math.log2(abs(b.numerator))
+                + math.log2(abs(b_num))
                 + (2 * j + 2) * log2_L
                 + math.log2(level(j + 1)[1])
-                - math.log2(b.denominator * (2 * j + 2) * D)
+                - math.log2(b_den * D)
                 - (j + 1) * log2_S
             )
 
@@ -336,12 +362,10 @@ def _em_tail(
     w = wctx.scale
     corrections = 0
     for j in range(1, orders + 1):
-        b = _bernoulli(2 * j)
+        b_num, b_den = _bernoulli_ratio(j)
         num, _, den = level(j)
         # trunc of the correction B_2j/(2j)! f^(2j-1)(N) at scale w
-        corrections += _div_trunc(
-            -b.numerator * L ** (2 * j) * num << w, b.denominator * 2 * j * D * den
-        )
+        corrections += _div_trunc(-b_num * L ** (2 * j) * num << w, b_den * D * den)
     return tail - BigFixed(corrections, w), Fraction(*omitted_bound(orders))
 
 
@@ -444,6 +468,10 @@ APPENDIX_POLES = PoleSum(
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
+
+
+# the alternating-sum methods, in the order the CLI lists them
+METHODS = ("direct", "accelerated")
 
 
 def alternating_power_sum(

@@ -7,9 +7,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from pi_kiln import cli, harness
+from pi_kiln import cli, harness, oracle
 from pi_kiln.errors import UnknownId
-from pi_kiln.numerics import PrecisionContext
+from pi_kiln.numerics import BigFixed, PrecisionContext
 from pi_kiln.oracle import reference_pi, reference_pi_alt, reference_pi_power
 from pi_kiln.series import pi_power_from_series, reciprocal_sine_series
 
@@ -55,6 +55,29 @@ def test_oracle_ties_to_series_pipeline():
 def test_pi_power_zero_exponent():
     ctx = PrecisionContext(30)
     assert reference_pi_power(0, ctx) == ctx.one()
+
+
+def _squaring_loop_pi_power(exponent: int, ctx: PrecisionContext) -> BigFixed:
+    """pi**exponent by the oracle's own squaring loop, the form it had before
+    it called numerics.ipow."""
+    w = ctx.scale + oracle._GUARD_BITS + exponent.bit_length() * 2
+    base = BigFixed(oracle._pi_mantissa(w), w)
+    result = BigFixed(1 << w, w)
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base
+        exponent >>= 1
+    return result.rescale_round(ctx.scale)
+
+
+@pytest.mark.parametrize("digits", [1, 5, 20, 57, 120, 300, 1000])
+def test_pi_power_matches_squaring_loop(digits):
+    ctx = PrecisionContext(digits)
+    for exponent in range(20):
+        assert reference_pi_power(exponent, ctx) == _squaring_loop_pi_power(exponent, ctx)
+    with pytest.raises(ValueError):
+        reference_pi_power(-1, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from pi_kiln.numerics import PrecisionContext
 from pi_kiln.oracle import reference_pi, reference_pi_power
 from pi_kiln.series import (
     APPENDIX_POLES,
-    _bernoulli,
+    _bernoulli_ratio,
     PairedTermStream,
     PoleSum,
     accelerated_alternating_sum,
@@ -350,6 +351,26 @@ def test_appendix_convergence_study():
 def _unfinished(monkeypatch):
     """Make results come back at working precision, so kernels compare exactly."""
     monkeypatch.setattr(PrecisionContext, "finish", lambda self, value, bound: (value, bound))
+
+
+@lru_cache(maxsize=None)
+def _bernoulli(m: int) -> Fraction:
+    """Bernoulli number B_m (B_1 = -1/2 convention) from the recurrence
+    sum_{j<=m} C(m+1, j) B_j = 0, exact; the reference for _bernoulli_ratio."""
+    if m == 0:
+        return Fraction(1)
+    total = Fraction(0)
+    for j in range(m):
+        total += math.comb(m + 1, j) * _bernoulli(j)
+    return -total / (m + 1)
+
+
+def test_bernoulli_ratio_matches_recurrence(monkeypatch):
+    monkeypatch.setattr(series, "_tangent", [0])  # grow the table from empty
+    for j in [*range(1, 201), 37, 1]:
+        num, den = _bernoulli_ratio(j)
+        assert den > 0
+        assert Fraction(num, den) == _bernoulli(2 * j) / (2 * j)
 
 
 def _fraction_positive_series_sum(head, poles, ctx, n_direct, tail_orders):
