@@ -108,10 +108,14 @@ def _print_series(series_id: str, params: dict, digits: int) -> int:
         verb = "is" if len(spec.needs) == 1 else "are"
         print(f"error: {names} {verb} required for {series_id}", file=sys.stderr)
         return 2
+    for name, value in params.items():
+        if value is not None and name not in spec.needs + spec.options:
+            print(f"error: {series_id} takes no --{name}", file=sys.stderr)
+            return 2
     ctx = PrecisionContext(digits)
     res = spec.evaluate(params, ctx, None)
     print(f"{spec.label(params)} = {ctx.render(res.value)}")
-    print(f"error_bound <= {res.error_bound.to_scientific(3)}")
+    print(f"error_bound <= {res.error_bound.to_scientific()}")
     print(f"terms_used = {res.terms_used}")
     print(f"method = {res.method}")
     return 0
@@ -151,8 +155,8 @@ def _cmd_product(args) -> int:
     limit = catalog_limit(args.id, ctx)
     print(f"{args.id} [n={res.factors_used}, corrected={res.corrected}] = {ctx.render(res.value)}")
     print(f"limit: {spec.limit_expr} = {ctx.render(limit)}")
-    print(f"abs_error = {abs(res.value - limit).to_scientific(3)}")
-    print(f"error_bound <= {res.error_bound.to_scientific(3)}")
+    print(f"abs_error = {abs(res.value - limit).to_scientific()}")
+    print(f"error_bound <= {res.error_bound.to_scientific()}")
     print(f"class = {spec.convergence_class}")
     return 0
 

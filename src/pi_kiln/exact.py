@@ -3,7 +3,7 @@ of pi.
 
 Rational values are plain fractions.Fraction (already an exact, reduced
 big-integer fraction with "p/q" parsing).  Radical expressions are small
-immutable trees over rational leaves with {add, sub, mul, div, sqrt} nodes,
+immutable trees over rational leaves with {add, sub, div, sqrt} nodes,
 evaluated on demand into BigFixed.
 
 The sine table covers x = p/q with q in {1, 2, 3, 4, 5, 6, 10} and is closed
@@ -44,7 +44,7 @@ _Operand = Union["RadicalExpr", Fraction, int]
 class RadicalExpr:
     """Immutable expression tree over Fraction leaves.
 
-    Nodes: "num" (leaf), "add", "sub", "mul", "div" (binary), "sqrt" (unary).
+    Nodes: "num" (leaf), "add", "sub", "div" (binary), "sqrt" (unary).
     """
 
     __slots__ = ("op", "args")
@@ -80,17 +80,8 @@ class RadicalExpr:
     def __rsub__(self, other: _Operand) -> "RadicalExpr":
         return RadicalExpr("sub", (self._wrap(other), self))
 
-    def __mul__(self, other: _Operand) -> "RadicalExpr":
-        return RadicalExpr("mul", (self, self._wrap(other)))
-
-    def __rmul__(self, other: _Operand) -> "RadicalExpr":
-        return RadicalExpr("mul", (self._wrap(other), self))
-
     def __truediv__(self, other: _Operand) -> "RadicalExpr":
         return RadicalExpr("div", (self, self._wrap(other)))
-
-    def __rtruediv__(self, other: _Operand) -> "RadicalExpr":
-        return RadicalExpr("div", (self._wrap(other), self))
 
     def __neg__(self) -> "RadicalExpr":
         return RadicalExpr("sub", (RadicalExpr.number(0), self))
@@ -118,11 +109,11 @@ def golden_ratio() -> RadicalExpr:
 def radical_eval(expr: RadicalExpr, ctx: PrecisionContext) -> BigFixed:
     """Evaluate a radical tree; error stays well inside 4 ulp per tree level.
 
-    Internally evaluates at ctx.scale + 16 bits and rounds once at the end.
-    A sqrt argument more than a few internal ulps below zero raises
-    NegativeUnderSqrt; tiny negative dust from truncation is clamped.
+    Internally evaluates at ctx.scale + numerics._GUARD_BITS and rounds once
+    at the end.  A sqrt argument more than a few internal ulps below zero
+    raises NegativeUnderSqrt; tiny negative dust from truncation is clamped.
     """
-    w = ctx.scale + 16
+    w = ctx.scale + numerics._GUARD_BITS
 
     def rec(e: RadicalExpr) -> int:
         op = e.op
@@ -135,26 +126,20 @@ def radical_eval(expr: RadicalExpr, ctx: PrecisionContext) -> BigFixed:
                 if m < -4:
                     raise NegativeUnderSqrt(e.args[0].to_sexpr())
                 m = 0
-            n = m << w
-            r = math.isqrt(n)
-            if n - r * r > r:
-                r += 1
-            return r
+            return numerics._isqrt_round(m << w)
         a = rec(e.args[0])
         b = rec(e.args[1])
         if op == "add":
             return a + b
         if op == "sub":
             return a - b
-        if op == "mul":
-            return numerics._shift_trunc(a * b, w)
         if op == "div":
             if b == 0:
                 raise ZeroDivisionError("division by zero in radical expression")
             return numerics._div_trunc(a << w, b)
         raise ValueError(f"unknown radical op {op!r}")
 
-    return BigFixed(numerics._shift_round(rec(expr), 16), ctx.scale)
+    return BigFixed(numerics._shift_round(rec(expr), numerics._GUARD_BITS), ctx.scale)
 
 
 # ---------------------------------------------------------------------------

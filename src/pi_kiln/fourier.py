@@ -67,16 +67,16 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, whole: float, depth: in
     )
 
 
-def integrate(f, a: float, b: float, tol: float = 1e-12) -> float:
-    """Adaptive Simpson quadrature with absolute tolerance."""
-    return _adaptive_simpson(f, a, b, tol, _simpson(f, a, b), 40)
+def integrate(f, a: float, b: float) -> float:
+    """Adaptive Simpson quadrature with absolute tolerance 1e-12."""
+    return _adaptive_simpson(f, a, b, 1e-12, _simpson(f, a, b), 40)
 
 
-def fourier_coefficient_by_quadrature(alpha: float, n: int, tol: float = 1e-12) -> float:
+def fourier_coefficient_by_quadrature(alpha: float, n: int) -> float:
     """Oracle: (2/pi) * integral_0^pi cos(alpha t) cos(n t) dt, numerically."""
     alpha = float(alpha)
     return 2.0 / math.pi * integrate(
-        lambda t: math.cos(alpha * t) * math.cos(n * t), 0.0, math.pi, tol
+        lambda t: math.cos(alpha * t) * math.cos(n * t), 0.0, math.pi
     )
 
 

@@ -24,6 +24,7 @@ from .numerics import BigFixed, PrecisionContext
 from .oracle import reference_pi, reference_pi_power
 from .partitions import enumerate_constrained
 from .products import (
+    CATALOG,
     CORRECTIONS,
     EULER_WALLIS_POINTS,
     catalog_eval,
@@ -41,8 +42,8 @@ PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
 # ---------------------------------------------------------------------------
 
 
-def derivative_oracle(x: float, k: int, samples: int = 128) -> float:
-    """k-th derivative of 1/sin(pi t) at x from a Cauchy-circle trapezoid sum.
+def derivative_oracle(x: float, k: int) -> float:
+    """k-th derivative of 1/sin(pi t) at x from a 128-point Cauchy-circle sum.
 
     Complex double arithmetic only; shares nothing with the partition or
     symbolic machinery it is used to check.
@@ -50,11 +51,11 @@ def derivative_oracle(x: float, k: int, samples: int = 128) -> float:
     dist = min(x - math.floor(x), math.ceil(x) - x)
     radius = 0.6 * dist
     acc = 0j
-    for j in range(samples):
-        th = 2.0 * math.pi * j / samples
+    for j in range(128):
+        th = 2.0 * math.pi * j / 128
         z = x + radius * cmath.exp(1j * th)
         acc += (1.0 / cmath.sin(math.pi * z)) * cmath.exp(-1j * th * k)
-    return math.factorial(k) * (acc / samples).real / radius**k
+    return math.factorial(k) * (acc / 128).real / radius**k
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +116,17 @@ def _study_point(formula_id: str, params: dict, n: int, ctx: PrecisionContext):
     return res.value, res.error_bound, spec.limit(params, ctx)
 
 
-def convergence_study(target: str, grid, ctx: PrecisionContext | None = None):
+def convergence_study(target: str, grid, ctx: PrecisionContext):
     """Evaluate a target over an ascending grid of N; rows in grid order."""
-    if ctx is None:
-        ctx = PrecisionContext(30)
     formula_id, params = _parse_target(target)
-    if formula_id not in SERIES:
+    if formula_id in SERIES:
+        takes = SERIES[formula_id].needs + SERIES[formula_id].options
+    else:
         catalog_limit(formula_id, ctx)  # raises UnknownId early
+        takes = ("correction",) if CATALOG[formula_id].convergence_class == "quadratic" else ()
+    for key in params:
+        if key not in takes:
+            raise UnknownId(f"target {formula_id!r} takes no parameter {key!r}")
 
     def row(n: int) -> StudyRow:
         start = time.perf_counter()
@@ -134,8 +139,8 @@ def convergence_study(target: str, grid, ctx: PrecisionContext | None = None):
             params=shown,
             n=n,
             value=ctx.render(value),
-            abs_error=err.to_scientific(3),
-            bound=bound.to_scientific(3),
+            abs_error=err.to_scientific(),
+            bound=bound.to_scientific(),
             elapsed_ms=round(elapsed, 3),
         )
 
@@ -181,25 +186,26 @@ def study_to_csv(rows, include_timing: bool = False) -> str:
 
 def reciprocal_sine_target(x: Fraction, ctx: PrecisionContext) -> BigFixed:
     """pi / sin(pi x) from the oracle and the exact table."""
-    wctx = PrecisionContext(ctx.requested_digits + 4, ctx.guard_digits)
+    wctx = PrecisionContext(ctx.requested_digits + 4)
     s = radical_eval(sin_pi_rational(x), wctx)
     return (reference_pi(wctx) / s).rescale(ctx.scale)
 
 
 def cotangent_target(x: Fraction, ctx: PrecisionContext) -> BigFixed:
     """pi cos(pi x)/sin(pi x) from the oracle and the exact table."""
-    wctx = PrecisionContext(ctx.requested_digits + 4, ctx.guard_digits)
+    wctx = PrecisionContext(ctx.requested_digits + 4)
     s = radical_eval(sin_pi_rational(x), wctx)
     c = radical_eval(cos_pi_rational(x), wctx)
     return (reference_pi(wctx) * c / s).rescale(ctx.scale)
 
 
 class SeriesSpec(NamedTuple):
-    """A series identity: the parameters it needs, evaluate(params, ctx, n)
-    by its public series function (N and the Euler-Maclaurin orders are its
-    own choice unless n or params["orders"] is set), oracle limit and label."""
+    """A series identity: the parameters it needs and those it may take,
+    evaluate(params, ctx, n) by its public series function (N and the orders
+    are its own choice unless n or params["orders"] is set), limit and label."""
 
     needs: tuple
+    options: tuple
     evaluate: Callable
     limit: Callable
     label: Callable
@@ -209,6 +215,7 @@ class SeriesSpec(NamedTuple):
 SERIES = {
     "recip-sine": SeriesSpec(
         ("x",),
+        ("method",),
         lambda p, ctx, n: series.reciprocal_sine_series(
             p["x"], ctx, p.get("method", "accelerated"), n
         ),
@@ -217,24 +224,28 @@ SERIES = {
     ),
     "cot": SeriesSpec(
         ("x",),
+        ("orders",),
         lambda p, ctx, n: series.cotangent_series(p["x"], ctx, n, p.get("orders")),
         lambda p, ctx: cotangent_target(p["x"], ctx),
         lambda p: f"pi*cot(pi*{p['x']})",
     ),
     "cot-diff": SeriesSpec(
         ("x", "a"),
+        ("orders",),
         lambda p, ctx, n: series.cot_difference_series(p["x"], p["a"], ctx, n, p.get("orders")),
         lambda p, ctx: cotangent_target(p["x"], ctx) - cotangent_target(p["a"], ctx),
         lambda p: f"pi*cot(pi*{p['x']}) - pi*cot(pi*{p['a']})",
     ),
     "appendix": SeriesSpec(
         (),
+        ("orders",),
         lambda p, ctx, n: series.appendix_pi_series(ctx, n, p.get("orders")),
         lambda p, ctx: reference_pi(ctx),
         lambda p: "appendix-pi",
     ),
     "pi-power": SeriesSpec(
         ("x",),
+        ("k", "method"),
         lambda p, ctx, n: series.pi_power_from_series(
             p.get("k", 0), p["x"], ctx, p.get("method", "accelerated"), n
         ),
@@ -259,7 +270,7 @@ class CheckResult:
 
 def _check(check_id: str, residual: BigFixed, bound: BigFixed) -> CheckResult:
     return CheckResult(
-        check_id, residual.to_scientific(3), bound.to_scientific(3), residual <= bound
+        check_id, residual.to_scientific(), bound.to_scientific(), residual <= bound
     )
 
 

@@ -6,9 +6,9 @@ same scale, so addition and subtraction are exact integer arithmetic;
 multiplication and division truncate toward zero and are correct to one unit
 in the last place.  Decimal appears only at the I/O boundary.
 
-Elementary functions (sqrt, ln, exp) run internally at scale + _GUARD_BITS
-and round back to the operand scale, which keeps them comfortably inside
-their documented ulp budgets.
+ln, exp, the oracle and radical_eval run internally at scale + _GUARD_BITS
+and round back to the operand scale, and sqrt rounds its integer square root
+to nearest, which keeps them comfortably inside their documented ulp budgets.
 """
 
 from __future__ import annotations
@@ -73,6 +73,14 @@ def _decimal_digits(n: int, width: int) -> str:
     return _decimal_digits(high, width - low) + _decimal_digits(rest, low)
 
 
+def _isqrt_round(n: int) -> int:
+    """Square root of the int n >= 0, rounded to nearest."""
+    r = math.isqrt(n)
+    if n - r * r > r:  # round to nearest: (r+1)^2 - n < n - r^2
+        r += 1
+    return r
+
+
 def _div_round(a: int, b: int) -> int:
     """Integer quotient rounded to nearest (ties away from zero)."""
     b_abs = abs(b)
@@ -84,24 +92,19 @@ def _div_round(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision: requested decimal digits plus guard digits.
+    """Working precision: requested decimal digits plus 10 guard digits.
 
-    The binary scale is ceil((requested + guard) * log2(10)); guard digits
+    The binary scale is ceil((requested + 10) * log2(10)); guard digits
     absorb truncation noise and are never rendered.
     """
 
     requested_digits: int
-    guard_digits: int = 10
     scale: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.requested_digits < 1:
             raise ValueError("requested_digits must be >= 1")
-        if self.guard_digits < 10:
-            raise ValueError("guard_digits must be >= 10")
-        scale = math.ceil((self.requested_digits + self.guard_digits) * _LOG2_10)
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        scale = math.ceil((self.requested_digits + 10) * _LOG2_10)
         object.__setattr__(self, "scale", scale)
 
     # -- constructors ------------------------------------------------------
@@ -135,7 +138,7 @@ class PrecisionContext:
         """Context for a run of `terms` truncating steps: ceil(log10 terms) + 2
         extra digits (terms counted as at least 10) absorb their noise."""
         extra = math.ceil(math.log10(max(terms, 10))) + 2
-        return PrecisionContext(self.requested_digits + extra, self.guard_digits)
+        return PrecisionContext(self.requested_digits + extra)
 
     def finish(self, value_w: "BigFixed", bound_w: "BigFixed") -> tuple:
         """(value, bound) of a working-precision run, at this scale.
@@ -280,10 +283,8 @@ class BigFixed:
         frac_digits = (frac * 10**digits) >> self.scale
         return f"{sign}{int_part}.{_decimal_digits(frac_digits, digits)}"
 
-    def to_scientific(self, sig: int = 3) -> str:
-        """Deterministic scientific rendering, e.g. '1.23e-31' (integer math only)."""
-        if sig < 1:
-            raise ValueError("sig must be >= 1")
+    def to_scientific(self) -> str:
+        """Three significant digits, truncated, e.g. '1.23e-31' (integer math only)."""
         m = self.mantissa
         if m == 0:
             return "0"
@@ -292,20 +293,18 @@ class BigFixed:
         # First guess of the decimal exponent from bit length, then adjust.
         e = math.floor((m.bit_length() - 1 - self.scale) * math.log10(2))
         while True:
-            shift = sig - 1 - e
+            shift = 2 - e
             if shift >= 0:
                 t = (m * 10**shift) >> self.scale
             else:
                 t = m // (10 ** (-shift) << self.scale)
-            if t >= 10**sig:
+            if t >= 1000:
                 e += 1
-            elif t < 10 ** (sig - 1):
+            elif t < 100:
                 e -= 1
             else:
                 break
         digits = str(t)
-        if sig == 1:
-            return f"{sign}{digits}e{e:+03d}"
         return f"{sign}{digits[0]}.{digits[1:]}e{e:+03d}"
 
     def __repr__(self) -> str:
@@ -325,11 +324,7 @@ def sqrt(a: BigFixed) -> BigFixed:
     """
     if a.mantissa < 0:
         raise NegativeOperand("sqrt of negative value")
-    n = a.mantissa << a.scale
-    r = math.isqrt(n)
-    if n - r * r > r:  # round to nearest: (r+1)^2 - n < n - r^2
-        r += 1
-    return BigFixed(r, a.scale)
+    return BigFixed(_isqrt_round(a.mantissa << a.scale), a.scale)
 
 
 @lru_cache(maxsize=None)
@@ -346,11 +341,6 @@ def _ln2_mantissa(scale: int) -> int:
         acc += p // (2 * j + 1)
         j += 1
     return _shift_round(2 * acc, w - scale)
-
-
-def ln2(scale: int) -> BigFixed:
-    """Cached natural log of 2 at the given scale."""
-    return BigFixed(_ln2_mantissa(scale), scale)
 
 
 def ln(a: BigFixed) -> BigFixed:

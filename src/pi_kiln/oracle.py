@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .numerics import BigFixed, PrecisionContext, _shift_round, ipow
-
-_GUARD_BITS = 16
+from .numerics import _GUARD_BITS, BigFixed, PrecisionContext, _shift_round, ipow
 
 
 def _arctan_inv(m: int, scale: int) -> int:

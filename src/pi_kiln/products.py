@@ -55,7 +55,7 @@ class ProductResult:
 CORRECTIONS = ("none", "first_order")
 
 
-def _psi(n: int, beta: Fraction = Fraction(0)) -> Fraction:
+def _psi(n: int, beta: Fraction) -> Fraction:
     """Two-term tail of sum_{m>n} 1/(m+beta)^2; undershoots by <= 1/(6 (n+beta)^3)."""
     b = n + beta
     return 1 / b - 1 / (2 * b * b)
@@ -110,17 +110,13 @@ def _quadratic_product(
     return ProductResult(value, n, corrected, bound)
 
 
-def euler_wallis(
-    x: Fraction, n: int, correction: str = "first_order", ctx: PrecisionContext | None = None
-) -> ProductResult:
+def euler_wallis(x: Fraction, n: int, correction: str, ctx: PrecisionContext) -> ProductResult:
     """prod_{m=1..n} (1 - x^2/m^2) -> sin(pi x)/(pi x), for 0 < x < 1.
 
     correction="first_order" multiplies by exp(-x^2 psi_n), cancelling the
     leading log-tail; the remaining bound is O(1/n^3).
     """
     x = Fraction(x)
-    if ctx is None:
-        ctx = PrecisionContext(30)
     if not (0 < x < 1):
         raise OutOfRange(f"euler_wallis requires 0 < x < 1, got {x}")
     x2 = x * x
@@ -369,7 +365,7 @@ def catalog_eval(
 
 def catalog_limit(id: str, ctx: PrecisionContext) -> BigFixed:
     """The exact limit of a catalog entry, via the oracle pi and exact radicals."""
-    wctx = PrecisionContext(ctx.requested_digits + 4, ctx.guard_digits)
+    wctx = PrecisionContext(ctx.requested_digits + 4)
     return _spec(id).limit(wctx).rescale(ctx.scale)
 
 
@@ -378,12 +374,10 @@ def catalog_limit(id: str, ctx: PrecisionContext) -> BigFixed:
 # ---------------------------------------------------------------------------
 
 
-def golden_ratio_check(
-    n: int, ctx: PrecisionContext, correction: str = "first_order"
-) -> BigFixed:
+def golden_ratio_check(n: int, ctx: PrecisionContext) -> BigFixed:
     """Residual |3 - (4 pi^2 / 25) prod(1 - 1/(25 m^2))^2 - phi|, oracle pi."""
     wctx = ctx.working(n)
-    prod = euler_wallis(Fraction(1, 5), n, correction, wctx)
+    prod = euler_wallis(Fraction(1, 5), n, "first_order", wctx)
     p_w = prod.value.rescale(wctx.scale)
     pi2 = reference_pi_power(2, wctx)
     phi = radical_eval(golden_ratio(), wctx)
@@ -392,7 +386,7 @@ def golden_ratio_check(
     return abs(residual).rescale(ctx.scale)
 
 
-def functional_equation_check(x: Fraction, ctx: PrecisionContext | None = None) -> BigFixed:
+def functional_equation_check(x: Fraction, ctx: PrecisionContext) -> BigFixed:
     """|x h(x) + (x+1) h(x+1)| for h = sin(pi t)/(pi t), via exact table values.
 
     Reduces to |sin(pi x) + sin(pi (x+1))|, identically zero up to radical
@@ -401,8 +395,6 @@ def functional_equation_check(x: Fraction, ctx: PrecisionContext | None = None) 
     x = Fraction(x)
     if x.denominator == 1:
         raise PoleAtInteger("functional equation check requires non-integer x")
-    if ctx is None:
-        ctx = PrecisionContext(50)
     a = radical_eval(sin_pi_rational(x), ctx)
     b = radical_eval(sin_pi_rational(x + 1), ctx)
     return abs(a + b)

@@ -73,11 +73,11 @@ def _chebyshev_d(n: int) -> int:
     return d
 
 
-def _check_alternating(stream: PairedTermStream, probe: int = 16):
-    """Sign pattern of u_1..u_probe; returns +-1 (or 0 if all zero)."""
+def _check_alternating(stream: PairedTermStream):
+    """Sign pattern of u_1..u_16; returns +-1 (or 0 if all zero)."""
     sigma = 0
     anchor = 0
-    for n in range(1, probe + 1):
+    for n in range(1, 17):
         t = stream.pair(n)
         if t == 0:
             continue
@@ -378,6 +378,10 @@ def positive_series_sum(
 ) -> SeriesResult:
     """head + sum_{n>=1} f(n) by direct summation to N plus the EM tail.
 
+    The Euler-Maclaurin tail needs N >= ceil(2 max|beta_i|) + 8, so the
+    default N is never below that floor and an explicit N below it raises
+    OutOfRange.
+
     The direct part runs on the integer form of the poles: each term
     f(n) = L * sum_i C_i / (n L + B_i) / D is built as one unreduced int pair
     num/den and added at the working scale w as trunc(num * 2^w / den), which
@@ -385,10 +389,11 @@ def positive_series_sum(
     negative, so the quotient truncates toward zero rather than flooring.
     """
     digits = ctx.requested_digits
+    floor = math.ceil(2 * max(abs(beta) for _, beta in poles.poles)) + 8
     if n_direct is None:
-        n_direct = max(64, 3 * digits)
-    max_beta = max(abs(beta) for _, beta in poles.poles)
-    n_direct = max(n_direct, math.ceil(2 * max_beta) + 8)
+        n_direct = max(64, 3 * digits, floor)
+    elif n_direct < floor:
+        raise OutOfRange(f"the pole sum needs n_direct >= {floor}")
     wctx = ctx.working(n_direct)
     w = wctx.scale
     L, D = poles.beta_lcm, poles.coef_lcm

@@ -40,9 +40,9 @@ def test_fifteen_digits_value():
 
 
 def test_oracle_stable_under_extra_guard_digits():
-    a = PrecisionContext(50, 10)
-    b = PrecisionContext(50, 20)
-    assert a.render(reference_pi(a)) == b.render(reference_pi(b))
+    a = PrecisionContext(50)
+    b = PrecisionContext(60)
+    assert a.render(reference_pi(a)) == reference_pi(b).to_decimal(50)
 
 
 def test_oracle_ties_to_series_pipeline():
@@ -98,14 +98,14 @@ def test_harness_derivative_oracle_hand_checked():
 
 
 def test_study_appendix_strictly_decreasing():
-    rows = harness.convergence_study("appendix:orders=1", [100, 1000, 10000])
+    rows = harness.convergence_study("appendix:orders=1", [100, 1000, 10000], PrecisionContext(30))
     errs = [float(r.abs_error) for r in rows]
     assert errs[0] > errs[1] > errs[2]
     assert [r.n for r in rows] == [100, 1000, 10000]
 
 
 def test_study_viete_error_ratio():
-    rows = harness.convergence_study("viete", [5, 10, 20])
+    rows = harness.convergence_study("viete", [5, 10, 20], PrecisionContext(30))
     errs = [float(r.abs_error) for r in rows]
     # ratio ~ 4^(-d_m) within a factor of 10
     for (r1, e1), (r2, e2) in zip(
@@ -116,17 +116,17 @@ def test_study_viete_error_ratio():
 
 
 def test_study_empty_grid():
-    assert harness.convergence_study("viete", []) == []
+    assert harness.convergence_study("viete", [], PrecisionContext(30)) == []
 
 
 def test_study_rows_respect_bounds():
-    rows = harness.convergence_study("euler-wallis-1-2", [512, 1024])
+    rows = harness.convergence_study("euler-wallis-1-2", [512, 1024], PrecisionContext(30))
     for r in rows:
         assert float(r.abs_error) <= float(r.bound)
 
 
 def test_study_pi_power_target():
-    rows = harness.convergence_study("pi-power:k=1:x=1/4", [20, 40])
+    rows = harness.convergence_study("pi-power:k=1:x=1/4", [20, 40], PrecisionContext(30))
     errs = [float(r.abs_error) for r in rows]
     assert errs[1] < errs[0]
     assert rows[0].params == {"k": "1", "x": "1/4"}
@@ -155,7 +155,7 @@ def test_study_rows_match_public_functions(k, x, n, method):
         res = pi_power_from_series(k, Fraction(x), ctx, method, n_terms=n)
     (row,) = harness.convergence_study(target, [n], ctx)
     assert row.value == ctx.render(res.value)
-    assert row.bound == res.error_bound.to_scientific(3)
+    assert row.bound == res.error_bound.to_scientific()
     if k is not None:
         with mpmath.workdps(60):
             err = abs(mpmath.mpf(row.value) - mpmath.pi ** (k + 1))
@@ -164,18 +164,18 @@ def test_study_rows_match_public_functions(k, x, n, method):
 
 def test_study_unknown_target():
     with pytest.raises(UnknownId):
-        harness.convergence_study("nonsense", [10])
+        harness.convergence_study("nonsense", [10], PrecisionContext(30))
     with pytest.raises(UnknownId):
-        harness.convergence_study("cot", [10])  # missing x
+        harness.convergence_study("cot", [10], PrecisionContext(30))  # missing x
     with pytest.raises(UnknownId):
-        harness.convergence_study("cot:x=abc", [10])  # malformed param
+        harness.convergence_study("cot:x=abc", [10], PrecisionContext(30))  # malformed param
 
 
 def test_study_serializers_deterministic(monkeypatch):
-    rows = harness.convergence_study("appendix:orders=1", [64, 128])
+    rows = harness.convergence_study("appendix:orders=1", [64, 128], PrecisionContext(30))
     j1 = harness.study_to_json(rows)
     c1 = harness.study_to_csv(rows)
-    rows2 = harness.convergence_study("appendix:orders=1", [64, 128])
+    rows2 = harness.convergence_study("appendix:orders=1", [64, 128], PrecisionContext(30))
     assert harness.study_to_json(rows2) == j1
     assert harness.study_to_csv(rows2) == c1
     # timing column only on request
@@ -187,8 +187,8 @@ def test_study_serializers_deterministic(monkeypatch):
 
 
 def test_study_identical_across_runs():
-    r1 = harness.study_to_csv(harness.convergence_study("viete", [4, 8, 12]))
-    r2 = harness.study_to_csv(harness.convergence_study("viete", [4, 8, 12]))
+    r1 = harness.study_to_csv(harness.convergence_study("viete", [4, 8, 12], PrecisionContext(30)))
+    r2 = harness.study_to_csv(harness.convergence_study("viete", [4, 8, 12], PrecisionContext(30)))
     assert r1 == r2
 
 
@@ -312,6 +312,13 @@ def test_cli_fourier_check(capsys):
         ("product --id odd-square --n 0 --digits 10", 3),
         ("study --target wallis --grid 0", 3),
         ("study --target recip-sine:x=1/4 --grid 0", 3),
+        ("study --target recip-sine:x=1/4:k=3 --grid 20", 3),
+        ("study --target cot:x=1/3:method=direct --grid 20", 3),
+        ("study --target appendix:foo=bar --grid 20", 3),
+        ("study --target viete:correction=none --grid 5", 3),
+        ("study --target appendix:orders=2 --grid 0,9 --format csv --digits 15", 3),
+        ("series --id cot --x 1/3 --a 1/4 --digits 10", 2),
+        ("series --id appendix --x 1/3 --digits 10", 2),
     ],
 )
 def test_cli_invalid_input_exit_code(argv, code, capsys):

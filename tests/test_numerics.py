@@ -35,13 +35,8 @@ def as_fraction(v: BigFixed) -> Fraction:
 
 
 def test_context_scale_formula():
-    ctx = PrecisionContext(30, 10)
+    ctx = PrecisionContext(30)
     assert ctx.scale == math.ceil(40 * math.log2(10))
-
-
-def test_context_rejects_small_guard():
-    with pytest.raises(ValueError):
-        PrecisionContext(30, guard_digits=5)
 
 
 def test_context_rejects_nonpositive_digits():
@@ -287,12 +282,12 @@ def test_parse_render_round_trip():
 
 
 def test_scientific_rendering():
-    assert BigFixed(1, CTX.scale).to_scientific(3) == "9.18e-41"  # 2**-133
+    assert BigFixed(1, CTX.scale).to_scientific() == "9.18e-41"  # 2**-133
     v = CTX.parse("0.00123")
-    assert v.to_scientific(3) == "1.22e-03" or v.to_scientific(3) == "1.23e-03"
+    assert v.to_scientific() == "1.22e-03" or v.to_scientific() == "1.23e-03"
     assert CTX.zero().to_scientific() == "0"
     big = CTX.from_int(12345)
-    assert big.to_scientific(3) == "1.23e+04"
+    assert big.to_scientific() == "1.23e+04"
 
 
 def test_to_float_large_mantissa():

@@ -325,9 +325,9 @@ def test_functional_equation(x):
 
 def test_functional_equation_guards():
     with pytest.raises(PoleAtInteger):
-        functional_equation_check(Fraction(2))
+        functional_equation_check(Fraction(2), CTX)
     with pytest.raises(UnsupportedAngle):
-        functional_equation_check(Fraction(1, 7))
+        functional_equation_check(Fraction(1, 7), CTX)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pi_kiln import numerics, series
-from pi_kiln.errors import CoincidentPoints, NonAlternating, PoleAtInteger, SingularPoint
+from pi_kiln.errors import CoincidentPoints, NonAlternating, OutOfRange, PoleAtInteger, SingularPoint
 from pi_kiln.exact import radical_eval, sin_pi_rational, sqrt_expr
 from pi_kiln.numerics import PrecisionContext
 from pi_kiln.oracle import reference_pi, reference_pi_power
@@ -420,6 +420,11 @@ def _fraction_positive_series_sum(head, poles, ctx, n_direct, tail_orders):
     return acc + tail, bound
 
 
+def _below_floor(poles, n_direct):
+    """True for an explicit N below the floor positive_series_sum refuses."""
+    return n_direct is not None and n_direct < math.ceil(2 * max(abs(beta) for _, beta in poles)) + 8
+
+
 def _rational_in(lo, hi):
     """Non-integer rationals p/q in (lo, hi)."""
     return st.builds(
@@ -440,10 +445,14 @@ POLE_SUM_ARGS = dict(
 @given(x=_rational_in(-2, 3), **POLE_SUM_ARGS)
 def test_cot_kernel_matches_fraction_loop(x, digits, n_direct, tail_orders):
     ctx = PrecisionContext(digits)
+    poles = ((Fraction(1), x), (Fraction(-1), -x))
+    if _below_floor(poles, n_direct):
+        with pytest.raises(OutOfRange):
+            cotangent_series(x, ctx, n_direct, tail_orders)
+        return
     with pytest.MonkeyPatch.context() as mp:
         _unfinished(mp)
         res = cotangent_series(x, ctx, n_direct, tail_orders)
-    poles = ((Fraction(1), x), (Fraction(-1), -x))
     assert (res.value, res.error_bound) == _fraction_positive_series_sum(
         1 / x, poles, ctx, n_direct, tail_orders
     )
@@ -455,10 +464,14 @@ def test_cot_diff_kernel_matches_fraction_loop(x, a, digits, n_direct, tail_orde
     if x == a:
         return
     ctx = PrecisionContext(digits)
+    poles = ((Fraction(-1), -x), (Fraction(1), -a), (Fraction(1), x), (Fraction(-1), a))
+    if _below_floor(poles, n_direct):
+        with pytest.raises(OutOfRange):
+            cot_difference_series(x, a, ctx, n_direct, tail_orders)
+        return
     with pytest.MonkeyPatch.context() as mp:
         _unfinished(mp)
         res = cot_difference_series(x, a, ctx, n_direct, tail_orders)
-    poles = ((Fraction(-1), -x), (Fraction(1), -a), (Fraction(1), x), (Fraction(-1), a))
     assert (res.value, res.error_bound) == _fraction_positive_series_sum(
         (a - x) / (x * a), poles, ctx, n_direct, tail_orders
     )
@@ -468,11 +481,15 @@ def test_cot_diff_kernel_matches_fraction_loop(x, a, digits, n_direct, tail_orde
 @given(**POLE_SUM_ARGS)
 def test_appendix_kernel_matches_fraction_loop(digits, n_direct, tail_orders):
     ctx = PrecisionContext(digits)
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    poles = ((half, -half), (-half, -quarter), (-half, half), (half, quarter))
+    if _below_floor(poles, n_direct):
+        with pytest.raises(OutOfRange):
+            appendix_pi_series(ctx, n_direct, tail_orders)
+        return
     with pytest.MonkeyPatch.context() as mp:
         _unfinished(mp)
         res = appendix_pi_series(ctx, n_direct, tail_orders)
-    half, quarter = Fraction(1, 2), Fraction(1, 4)
-    poles = ((half, -half), (-half, -quarter), (-half, half), (half, quarter))
     value, bound = _fraction_positive_series_sum(Fraction(1), poles, ctx, n_direct, tail_orders)
     assert (res.value, res.error_bound) == (value * 2, bound * 2)
 
@@ -523,8 +540,12 @@ def test_em_order_search_exact_fallback_agrees(kind, x, a, digits, n_direct):
     # falls back there too
     if x == a:
         return
-    kernel = _pole_sum_case(kind, x, a)[0]
+    kernel, _, poles, _ = _pole_sum_case(kind, x, a)
     ctx = PrecisionContext(digits)
+    if _below_floor(poles, n_direct):
+        with pytest.raises(OutOfRange):
+            kernel(ctx, n_direct, None)
+        return
     with pytest.MonkeyPatch.context() as mp:
         _unfinished(mp)
         default = kernel(ctx, n_direct, None)
