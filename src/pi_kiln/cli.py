@@ -15,7 +15,7 @@ from .bruno import bk_eval, bk_symbolic, render_bk
 from .errors import KilnError
 from .fourier import fourier_partial_sum, residual_table
 from .numerics import PrecisionContext
-from .products import CATALOG, CORRECTIONS, catalog_eval, catalog_ids, catalog_limit
+from .products import CATALOG, CORRECTIONS, catalog_ids
 
 
 def _fraction(text: str) -> Fraction:
@@ -63,25 +63,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=_fraction, required=True, metavar="p/q")
     p.add_argument("--digits", type=_digits, required=True)
     p.add_argument("--method", choices=series.METHODS, default="accelerated")
+    p.set_defaults(run=_cmd_series, id="pi-power")
 
     p = sub.add_parser("bk", help="closed form (and value) of the series prefactor")
     p.add_argument("--k", type=_non_negative, required=True)
     p.add_argument("--x", type=_fraction, default=None, metavar="p/q")
     p.add_argument("--digits", type=_digits, default=30)
+    p.set_defaults(run=_cmd_bk)
 
     p = sub.add_parser("series", help="evaluate one of the series identities")
     p.add_argument("--id", choices=[i for i in harness.SERIES if i != "pi-power"], required=True)
     p.add_argument("--x", type=_fraction, default=None, metavar="p/q")
     p.add_argument("--a", type=_fraction, default=None, metavar="p/q")
     p.add_argument("--digits", type=_digits, required=True)
+    p.set_defaults(run=_cmd_series)
 
     p = sub.add_parser("product", help="evaluate a catalog product")
     p.add_argument("--id", choices=catalog_ids())
     p.add_argument("--n", type=int)
     corrections = [c.replace("_", "-") for c in CORRECTIONS]
-    p.add_argument("--correction", choices=corrections, default="first-order")
+    p.add_argument("--correction", choices=corrections)
     p.add_argument("--digits", type=_digits)
     p.add_argument("--list", action="store_true", help="list the catalog and exit")
+    p.set_defaults(run=_cmd_product)
 
     p = sub.add_parser("study", help="convergence study over a grid of N")
     p.add_argument("--target", required=True, metavar="id[:key=value...]")
@@ -89,40 +93,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--digits", type=_digits, default=30)
     p.add_argument("--timing", action="store_true", help="include elapsed_ms (non-deterministic)")
+    p.set_defaults(run=_cmd_study)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=harness.SUITES, required=True)
     p.add_argument("--digits", type=_digits, required=True)
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("fourier-check", help="closed-form coefficients vs quadrature")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--nmax", type=_non_negative, required=True)
+    p.set_defaults(run=_cmd_fourier_check)
 
     return parser
 
 
-def _print_series(series_id: str, params: dict, digits: int) -> int:
-    spec = harness.SERIES[series_id]
-    if any(params.get(name) is None for name in spec.needs):
-        names = " and ".join(f"--{name}" for name in spec.needs)
+def _cmd_series(args) -> int:
+    spec = harness.SERIES[args.id]
+    names = ("k", "x", "a", "method")
+    params = {name: getattr(args, name) for name in names if getattr(args, name, None) is not None}
+    if any(name not in params for name in spec.needs):
+        needed = " and ".join(f"--{name}" for name in spec.needs)
         verb = "is" if len(spec.needs) == 1 else "are"
-        print(f"error: {names} {verb} required for {series_id}", file=sys.stderr)
+        print(f"error: {needed} {verb} required for {args.id}", file=sys.stderr)
         return 2
-    for name, value in params.items():
-        if value is not None and name not in spec.needs + spec.options:
-            print(f"error: {series_id} takes no --{name}", file=sys.stderr)
+    for name in params:
+        if name not in spec.needs + spec.options:
+            print(f"error: {args.id} takes no --{name}", file=sys.stderr)
             return 2
-    ctx = PrecisionContext(digits)
+    ctx = PrecisionContext(args.digits)
     res = spec.evaluate(params, ctx, None)
     print(f"{spec.label(params)} = {ctx.render(res.value)}")
     print(f"error_bound <= {res.error_bound.to_scientific()}")
     print(f"terms_used = {res.terms_used}")
     print(f"method = {res.method}")
     return 0
-
-
-def _cmd_pi_power(args) -> int:
-    return _print_series("pi-power", {"k": args.k, "x": args.x, "method": args.method}, args.digits)
 
 
 def _cmd_bk(args) -> int:
@@ -135,10 +140,6 @@ def _cmd_bk(args) -> int:
     return 0
 
 
-def _cmd_series(args) -> int:
-    return _print_series(args.id, {"x": args.x, "a": args.a}, args.digits)
-
-
 def _cmd_product(args) -> int:
     if args.list:
         for spec in CATALOG.values():
@@ -148,11 +149,14 @@ def _cmd_product(args) -> int:
     if args.id is None or args.n is None or args.digits is None:
         print("error: --id, --n and --digits are required (or use --list)", file=sys.stderr)
         return 2
-    ctx = PrecisionContext(args.digits)
-    correction = args.correction.replace("-", "_")
-    res = catalog_eval(args.id, args.n, ctx, correction=correction)
     spec = CATALOG[args.id]
-    limit = catalog_limit(args.id, ctx)
+    if args.correction is not None and "correction" not in spec.options:
+        print(f"error: {args.id} takes no --correction", file=sys.stderr)
+        return 2
+    params = {} if args.correction is None else {"correction": args.correction}
+    ctx = PrecisionContext(args.digits)
+    res = spec.evaluate(params, ctx, args.n)
+    limit = spec.limit(params, ctx)
     print(f"{args.id} [n={res.factors_used}, corrected={res.corrected}] = {ctx.render(res.value)}")
     print(f"limit: {spec.limit_expr} = {ctx.render(limit)}")
     print(f"abs_error = {abs(res.value - limit).to_scientific()}")
@@ -189,22 +193,11 @@ def _cmd_fourier_check(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "pi-power": _cmd_pi_power,
-    "bk": _cmd_bk,
-    "series": _cmd_series,
-    "product": _cmd_product,
-    "study": _cmd_study,
-    "verify": _cmd_verify,
-    "fourier-check": _cmd_fourier_check,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except KilnError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 3

@@ -8,12 +8,12 @@ wall-clock column is opt-in so default output is byte-identical across runs.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from io import StringIO
 from typing import Callable, NamedTuple
 
 from . import numerics, series
@@ -21,14 +21,14 @@ from .bruno import bk_eval, bk_symbolic, render_bk
 from .errors import SingularPoint, UnknownId
 from .exact import cos_pi_rational, radical_eval, sin_pi_rational
 from .numerics import BigFixed, PrecisionContext
-from .oracle import reference_pi, reference_pi_power
+from .oracle import limit_context, reference_pi, reference_pi_power
 from .partitions import enumerate_constrained
 from .products import (
-    CATALOG,
-    CORRECTIONS,
     EULER_WALLIS_POINTS,
     catalog_eval,
     catalog_limit,
+    catalog_spec,
+    correction_of,
     euler_wallis,
     functional_equation_check,
     golden_ratio_check,
@@ -96,87 +96,63 @@ def _parse_target(target: str) -> tuple:
         raise UnknownId("target parameters k and orders must be >= 0")
     if params.get("method", "accelerated") not in series.METHODS:
         raise UnknownId(f"unknown method {params['method']!r}")
-    if params.get("correction", "first-order").replace("-", "_") not in CORRECTIONS:
-        raise UnknownId(f"unknown correction {params['correction']!r}")
+    correction_of(params)  # refuses an unknown correction
     return formula_id, params
 
 
-def _study_point(formula_id: str, params: dict, n: int, ctx: PrecisionContext):
-    """(value, bound, limit) for one grid point, from the function the CLI calls."""
-    spec = SERIES.get(formula_id)
-    if spec is None:  # a product catalog id
-        correction = params.get("correction", "first-order").replace("-", "_")
-        res = catalog_eval(formula_id, n, ctx, correction=correction)
-        return res.value, res.error_bound, catalog_limit(formula_id, ctx)
-    for name in spec.needs:
-        if params.get(name) is None:
-            raise UnknownId(f"target {formula_id!r} requires {name}=<p/q>")
-    params = {"orders": 1, **params}  # a study defaults to one Euler-Maclaurin order
-    res = spec.evaluate(params, ctx, n)
-    return res.value, res.error_bound, spec.limit(params, ctx)
-
-
 def convergence_study(target: str, grid, ctx: PrecisionContext):
-    """Evaluate a target over an ascending grid of N; rows in grid order."""
+    """Evaluate a SERIES or catalog target over an ascending grid of N; rows in
+    grid order.  The limit is evaluated once, after the first row's refusals."""
     formula_id, params = _parse_target(target)
-    if formula_id in SERIES:
-        takes = SERIES[formula_id].needs + SERIES[formula_id].options
-    else:
-        catalog_limit(formula_id, ctx)  # raises UnknownId early
-        takes = ("correction",) if CATALOG[formula_id].convergence_class == "quadratic" else ()
+    spec = SERIES[formula_id] if formula_id in SERIES else catalog_spec(formula_id)
     for key in params:
-        if key not in takes:
+        if key not in spec.needs + spec.options:
             raise UnknownId(f"target {formula_id!r} takes no parameter {key!r}")
+    for name in spec.needs:
+        if name not in params:
+            raise UnknownId(f"target {formula_id!r} requires {name}=<p/q>")
+    shown = {key: str(value) for key, value in params.items()}
+    if "orders" in spec.options:
+        params = {"orders": 1, **params}  # a study defaults to one Euler-Maclaurin order
+    limit = functools.cache(lambda: spec.limit(params, ctx))
 
     def row(n: int) -> StudyRow:
         start = time.perf_counter()
-        value, bound, limit = _study_point(formula_id, params, n, ctx)
+        res = spec.evaluate(params, ctx, n)
         elapsed = (time.perf_counter() - start) * 1000.0
-        err = abs(value - limit)
-        shown = {k: str(v) for k, v in params.items()}
         return StudyRow(
             formula_id=formula_id,
             params=shown,
             n=n,
-            value=ctx.render(value),
-            abs_error=err.to_scientific(),
-            bound=bound.to_scientific(),
+            value=ctx.render(res.value),
+            abs_error=abs(res.value - limit()).to_scientific(),
+            bound=res.error_bound.to_scientific(),
             elapsed_ms=round(elapsed, 3),
         )
 
     return [row(n) for n in grid]
 
 
+def _columns(include_timing: bool) -> list:
+    """StudyRow's fields, without the opt-in elapsed_ms unless asked for."""
+    return [f.name for f in fields(StudyRow) if include_timing or f.name != "elapsed_ms"]
+
+
 def study_to_json(rows, include_timing: bool = False) -> str:
-    payload = []
-    for r in rows:
-        d = {
-            "formula_id": r.formula_id,
-            "params": r.params,
-            "n": r.n,
-            "value": r.value,
-            "abs_error": r.abs_error,
-            "bound": r.bound,
-        }
-        if include_timing:
-            d["elapsed_ms"] = r.elapsed_ms
-        payload.append(d)
-    return json.dumps(payload, indent=2)
+    names = _columns(include_timing)
+    return json.dumps([{name: getattr(r, name) for name in names} for r in rows], indent=2)
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, dict):  # params
+        return ";".join(f"{k}={v}" for k, v in value.items())
+    return str(value)
 
 
 def study_to_csv(rows, include_timing: bool = False) -> str:
-    out = StringIO()
-    header = "formula_id,params,n,value,abs_error,bound"
-    if include_timing:
-        header += ",elapsed_ms"
-    out.write(header + "\n")
-    for r in rows:
-        params = ";".join(f"{k}={v}" for k, v in r.params.items())
-        line = f"{r.formula_id},{params},{r.n},{r.value},{r.abs_error},{r.bound}"
-        if include_timing:
-            line += f",{r.elapsed_ms}"
-        out.write(line + "\n")
-    return out.getvalue()
+    names = _columns(include_timing)
+    lines = [names, *([_csv_cell(getattr(r, name)) for name in names] for r in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +162,14 @@ def study_to_csv(rows, include_timing: bool = False) -> str:
 
 def reciprocal_sine_target(x: Fraction, ctx: PrecisionContext) -> BigFixed:
     """pi / sin(pi x) from the oracle and the exact table."""
-    wctx = PrecisionContext(ctx.requested_digits + 4)
+    wctx = limit_context(ctx)
     s = radical_eval(sin_pi_rational(x), wctx)
     return (reference_pi(wctx) / s).rescale(ctx.scale)
 
 
 def cotangent_target(x: Fraction, ctx: PrecisionContext) -> BigFixed:
     """pi cos(pi x)/sin(pi x) from the oracle and the exact table."""
-    wctx = PrecisionContext(ctx.requested_digits + 4)
+    wctx = limit_context(ctx)
     s = radical_eval(sin_pi_rational(x), wctx)
     c = radical_eval(cos_pi_rational(x), wctx)
     return (reference_pi(wctx) * c / s).rescale(ctx.scale)
@@ -304,8 +280,8 @@ def _series_checks(ctx: PrecisionContext):
         _check("cot-diff-1/4-1/2", abs(res.value - pi), res.error_bound + ctx.ulp() * 16)
     )
     for k in (0, 1, 2):
-        residual = series.derivative_identity_check(k, Fraction(1, 4), ctx)
-        s_res = series.alternating_power_sum(k, Fraction(1, 4), ctx)
+        s_res, wctx, s_w, b = series._power_identity(k, Fraction(1, 4), ctx)
+        residual = abs(s_w - numerics.ipow(reference_pi(wctx), k + 1) * b).rescale(ctx.scale)
         bk_slack = abs(reference_pi_power(k + 1, ctx)).mul_fraction(
             Fraction(3 * k + 64, 1 << ctx.scale)
         )

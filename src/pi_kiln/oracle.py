@@ -69,3 +69,9 @@ def reference_pi_power(exponent: int, ctx: PrecisionContext) -> BigFixed:
         raise ValueError("exponent must be >= 0")
     w = ctx.scale + _GUARD_BITS + exponent.bit_length() * 2
     return ipow(BigFixed(_pi_mantissa(w), w), exponent).rescale_round(ctx.scale)
+
+
+def limit_context(ctx: PrecisionContext) -> PrecisionContext:
+    """ctx with 4 more digits: every exact limit a result is compared with is
+    computed in it and truncated back to ctx's scale."""
+    return PrecisionContext(ctx.requested_digits + 4)

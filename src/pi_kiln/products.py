@@ -24,19 +24,34 @@ from . import numerics
 from .errors import OutOfRange, PoleAtInteger, UnknownId
 from .exact import golden_ratio, radical_eval, sin_pi_rational
 from .numerics import BigFixed, PrecisionContext, _div_trunc
-from .oracle import reference_pi, reference_pi_power
+from .oracle import limit_context, reference_pi, reference_pi_power
 
 
 @dataclass(frozen=True)
 class ProductSpec:
+    """A catalog product.  Like a harness.SERIES entry, it names the parameters
+    it needs and takes and has evaluate(params, ctx, n) and limit(params, ctx)."""
+
     id: str
     description: str
     limit_expr: str
     convergence_class: str  # "quadratic" | "geometric" | "prime" | "slow"
-    # (n, correction, ctx) -> ProductResult in the quadratic class, (n, ctx) otherwise
-    evaluate: Callable = field(repr=False, compare=False)
+    # (n, correction, ctx) -> ProductResult if the spec takes a correction, else (n, ctx)
+    product: Callable = field(repr=False, compare=False)
     # wctx -> the exact limit at that scale, from the oracle pi and exact radicals
-    limit: Callable = field(repr=False, compare=False)
+    exact: Callable = field(repr=False, compare=False)
+    needs = ()
+
+    @property
+    def options(self) -> tuple:
+        # only the quadratic class has an analytic tail to correct
+        return ("correction",) if self.convergence_class == "quadratic" else ()
+
+    def evaluate(self, params: dict, ctx: PrecisionContext, n: int) -> ProductResult:
+        return catalog_eval(self.id, n, ctx, correction_of(params))
+
+    def limit(self, params: dict, ctx: PrecisionContext) -> BigFixed:
+        return catalog_limit(self.id, ctx)
 
 
 @dataclass(frozen=True)
@@ -53,6 +68,14 @@ class ProductResult:
 
 # tail corrections of the quadratic class, in the order the CLI lists them
 CORRECTIONS = ("none", "first_order")
+
+
+def correction_of(params: dict) -> str:
+    """The correction params name (first_order if none), spelled as in CORRECTIONS."""
+    correction = params.get("correction", "first_order").replace("-", "_")
+    if correction not in CORRECTIONS:
+        raise UnknownId(f"unknown correction {params['correction']!r}")
+    return correction
 
 
 def _psi(n: int, beta: Fraction) -> Fraction:
@@ -343,7 +366,7 @@ def catalog_ids() -> list:
     return list(CATALOG)
 
 
-def _spec(id: str) -> ProductSpec:
+def catalog_spec(id: str) -> ProductSpec:
     if id not in CATALOG:
         raise UnknownId(f"no catalog entry {id!r}")
     return CATALOG[id]
@@ -354,19 +377,19 @@ def catalog_eval(
 ) -> ProductResult:
     """Evaluate a catalog entry with n factors (or iterations, or sieve limit).
 
-    The correction flag applies to the quadratic class; other classes have no
-    analytic first-order tail and ignore it.
+    The correction flag applies to the entries that take one (the quadratic
+    class); the others have no analytic first-order tail and ignore it.
     """
-    spec = _spec(id)
-    if spec.convergence_class == "quadratic":
-        return spec.evaluate(n, correction, ctx)
-    return spec.evaluate(n, ctx)
+    spec = catalog_spec(id)
+    if spec.options:
+        return spec.product(n, correction, ctx)
+    return spec.product(n, ctx)
 
 
 def catalog_limit(id: str, ctx: PrecisionContext) -> BigFixed:
     """The exact limit of a catalog entry, via the oracle pi and exact radicals."""
-    wctx = PrecisionContext(ctx.requested_digits + 4)
-    return _spec(id).limit(wctx).rescale(ctx.scale)
+    wctx = limit_context(ctx)
+    return catalog_spec(id).exact(wctx).rescale(ctx.scale)
 
 
 # ---------------------------------------------------------------------------

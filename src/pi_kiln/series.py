@@ -502,6 +502,20 @@ def reciprocal_sine_series(
     return alternating_power_sum(0, x, ctx, method, n_terms)
 
 
+def _power_identity(
+    k: int, x: Fraction, ctx: PrecisionContext, method: str = "accelerated", n_terms: int | None = None
+) -> tuple:
+    """(S_k(x), its working context wctx, and (-1)^k S_k(x) and B_k(x) at wctx's
+    scale): the two sides of pi^(k+1) B_k(x) = (-1)^k S_k(x)."""
+    x = _require_non_integer(x)
+    s_res = alternating_power_sum(k, x, ctx, method, n_terms)
+    wctx = ctx.working(s_res.terms_used)
+    s_w = s_res.value.rescale(wctx.scale)
+    if k % 2:
+        s_w = -s_w
+    return s_res, wctx, s_w, bk_eval(k, x, wctx)
+
+
 def pi_power_from_series(
     k: int, x: Fraction, ctx: PrecisionContext, method: str = "accelerated", n_terms: int | None = None
 ) -> SeriesResult:
@@ -511,14 +525,8 @@ def pi_power_from_series(
     is what some rearrangements split off as a leading "1 +" after dividing
     by 4, so the identity is exposed here in full-sum form.
     """
-    x = _require_non_integer(x)
-    s_res = alternating_power_sum(k, x, ctx, method, n_terms)
-    wctx = ctx.working(s_res.terms_used)
-    b = bk_eval(k, x, wctx)
-    s_w = s_res.value.rescale(wctx.scale)
+    s_res, wctx, s_w, b = _power_identity(k, x, ctx, method, n_terms)
     value = s_w / b
-    if k % 2:
-        value = -value
     # |d(S/B)| <= dS/|B| + |S/B| * dB/|B|
     err_b = wctx.ulp() * (3 * k + 48)
     s_bound = s_res.error_bound.rescale(wctx.scale) + wctx.ulp() * 2
@@ -571,13 +579,7 @@ def derivative_identity_check(k: int, x: Fraction, ctx: PrecisionContext) -> Big
     Uses the independent pi oracle, so a sign error anywhere in the
     coefficient pipeline shows up as a residual of order pi^(k+1).
     """
-    x = _require_non_integer(x)
-    s_res = alternating_power_sum(k, x, ctx)
-    wctx = ctx.working(s_res.terms_used)
-    s_w = s_res.value.rescale(wctx.scale)
-    if k % 2:
-        s_w = -s_w
-    b = bk_eval(k, x, wctx)
+    _, wctx, s_w, b = _power_identity(k, x, ctx)
     pi = reference_pi(wctx)
     pi_pow = numerics.ipow(pi, k + 1)
     return abs(s_w - pi_pow * b).rescale(ctx.scale)

@@ -2,12 +2,13 @@
 
 import json
 import math
+import shlex
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from pi_kiln import cli, harness, oracle
+from pi_kiln import cli, harness, oracle, products, series
 from pi_kiln.errors import UnknownId
 from pi_kiln.numerics import BigFixed, PrecisionContext
 from pi_kiln.oracle import reference_pi, reference_pi_alt, reference_pi_power
@@ -119,6 +120,26 @@ def test_study_empty_grid():
     assert harness.convergence_study("viete", [], PrecisionContext(30)) == []
 
 
+def test_study_evaluates_the_limit_once(monkeypatch):
+    """A product study evaluates its oracle limit once, and every row through catalog_eval."""
+    calls = {"radical_eval": 0, "catalog_eval": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(products, "radical_eval", counted("radical_eval", products.radical_eval))
+    catalog_eval = counted("catalog_eval", products.catalog_eval)
+    for module in (products, harness):
+        monkeypatch.setattr(module, "catalog_eval", catalog_eval)
+    rows = harness.convergence_study("euler-wallis-1-5", [100, 200, 400, 800], PrecisionContext(40))
+    assert len(rows) == 4
+    assert calls == {"radical_eval": 1, "catalog_eval": 4}
+
+
 def test_study_rows_respect_bounds():
     rows = harness.convergence_study("euler-wallis-1-2", [512, 1024], PrecisionContext(30))
     for r in rows:
@@ -197,10 +218,17 @@ def test_study_identical_across_runs():
 # ---------------------------------------------------------------------------
 
 
-def test_verify_series_suite_passes():
+def test_verify_series_suite_passes(monkeypatch):
+    sums = []
+    accelerate = series.accelerated_alternating_sum
+    monkeypatch.setattr(
+        series, "accelerated_alternating_sum", lambda *args: sums.append(1) or accelerate(*args)
+    )
     report, ok = harness.verify("series", 20)
     assert ok
     assert "FAIL" not in report
+    # 4 recip-sine, 14 pi-power and one sum per derivative-identity check
+    assert len(sums) == 21
 
 
 def test_verify_unknown_suite():
@@ -319,11 +347,13 @@ def test_cli_fourier_check(capsys):
         ("study --target appendix:orders=2 --grid 0,9 --format csv --digits 15", 3),
         ("series --id cot --x 1/3 --a 1/4 --digits 10", 2),
         ("series --id appendix --x 1/3 --digits 10", 2),
+        ("product --id viete --n 10 --correction none --digits 10", 2),
+        ("study --target cot --grid ''", 3),
     ],
 )
 def test_cli_invalid_input_exit_code(argv, code, capsys):
     try:
-        rc = cli.main(argv.split())
+        rc = cli.main(shlex.split(argv))
     except SystemExit as exc:
         rc = exc.code
     assert rc == code
@@ -333,3 +363,4 @@ def test_cli_invalid_input_exit_code(argv, code, capsys):
 def test_cli_missing_param_usage(capsys):
     rc = cli.main(["series", "--id", "cot-diff", "--x", "1/4", "--digits", "15"])
     assert rc == 2
+
