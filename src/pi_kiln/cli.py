@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse),
-3 numeric/domain error (pole, singular point, unsupported angle, ...).
+3 numeric/domain error (pole, singular point, unsupported angle, a series
+whose error bound cannot reach 10^-digits, ...).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 from . import harness, series
 from .bruno import bk_eval, bk_symbolic, render_bk
-from .errors import KilnError
+from .errors import AccuracyShort, KilnError
 from .fourier import fourier_partial_sum, residual_table
 from .numerics import PrecisionContext
 from .products import CATALOG, CORRECTIONS, catalog_ids
@@ -123,6 +124,11 @@ def _cmd_series(args) -> int:
             return 2
     ctx = PrecisionContext(args.digits)
     res = spec.evaluate(params, ctx, None)
+    # bound > 10^-digits, compared exactly
+    if res.error_bound.mantissa * 10**args.digits > 1 << ctx.scale:
+        raise AccuracyShort(
+            f"error bound {res.error_bound.to_scientific()} is above 10^-{args.digits}"
+        )
     print(f"{spec.label(params)} = {ctx.render(res.value)}")
     print(f"error_bound <= {res.error_bound.to_scientific()}")
     print(f"terms_used = {res.terms_used}")

@@ -59,3 +59,7 @@ class OutOfRange(KilnError):
 
 class UnknownId(KilnError):
     """Catalog lookup with an id that is not registered."""
+
+
+class AccuracyShort(KilnError):
+    """A command that chooses its own N cannot bound the error by 10^-digits."""

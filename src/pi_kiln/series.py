@@ -17,6 +17,7 @@ error bound covers both the method error and the accumulated truncation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -50,12 +51,13 @@ class SeriesResult:
 class PairedTermStream:
     """Head term (index 0) plus exact paired terms u_n combining +n and -n.
 
-    Terms are exact rationals; partial sums over u_1..u_N reproduce the
-    symmetric truncation sum_{|n| <= N} identically.
+    The head is a Fraction; pair(n) returns u_n as an unreduced int pair
+    (num, den) with den > 0, so no gcd is taken per term.  Partial sums over
+    u_1..u_N reproduce the symmetric truncation sum_{|n| <= N} identically.
     """
 
     head: Fraction
-    pair: Callable[[int], Fraction]
+    pair: Callable[[int], tuple]
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +66,14 @@ class PairedTermStream:
 
 
 def _chebyshev_d(n: int) -> int:
-    """d_n = ((3+sqrt8)^n + (3-sqrt8)^n) / 2, an exact integer."""
-    d_prev, d = 1, 3
-    if n == 0:
-        return 1
-    for _ in range(n - 1):
-        d_prev, d = d, 6 * d - d_prev
-    return d
+    """d_n = ((3+sqrt8)^n + (3-sqrt8)^n) / 2, an exact integer: the rational
+    part a of (3 + 2 sqrt2)^n = a + b sqrt2, by repeated squaring."""
+    a, b = 1, 0
+    for bit in bin(n)[2:]:
+        a, b = a * a + 2 * b * b, 2 * a * b
+        if bit == "1":
+            a, b = 3 * a + 4 * b, 2 * a + 3 * b
+    return a
 
 
 def _check_alternating(stream: PairedTermStream):
@@ -78,15 +81,43 @@ def _check_alternating(stream: PairedTermStream):
     sigma = 0
     anchor = 0
     for n in range(1, 17):
-        t = stream.pair(n)
-        if t == 0:
+        num, _ = stream.pair(n)
+        if num == 0:
             continue
-        s = 1 if t > 0 else -1
+        s = 1 if num > 0 else -1
         if sigma == 0:
             sigma, anchor = s, n
         elif s != sigma * (-1) ** (n - anchor):
             raise NonAlternating(f"paired terms u_{anchor} and u_{n} break alternation")
     return sigma, anchor
+
+
+def _chebyshev_sum(terms, n_terms: int, d: int, w: int) -> int:
+    """2^w * sum_j c_j a_j / d as an int off by under 3/2, for the N = n_terms
+    int pairs (num_j, den_j), den_j > 0, of the terms a_j = |num_j| / den_j,
+    and d = _chebyshev_d(N): the sum in Algorithm 1 of Cohen, Rodriguez
+    Villegas and Zagier (2000), on plain integers at the binary scale w.
+
+    The weights b_j and c_j are integer coefficients of the shifted Chebyshev
+    polynomial, so the b_j update divides exactly.  The final division by d
+    drops about log2 d bits, so each term is built only to the scale that
+    division keeps: with s = max(bitlen(d) - bitlen(N) - 2, 0), the term
+    enters an integer accumulator as floor(|num_j| c_j 2^(w-s) / den_j), or
+    as (|num_j| c_j) // (den_j 2^(s-w)) when w < s, the same floor since
+    nested floors compose; the result is trunc(acc 2^s / d).  Each floor loses
+    under one unit of acc, worth 2^s / d units of the result, and
+    N 2^s <= d / 2, so the floors cost under 1/2 in all and the final
+    truncation under 1.
+    """
+    s = max(d.bit_length() - n_terms.bit_length() - 2, 0)
+    up, down = max(w - s, 0), max(s - w, 0)
+    b, c = -1, -d
+    acc = 0
+    for j, (num, den) in enumerate(terms):
+        c = b - c
+        acc += (abs(num) * c << up) // (den << down)
+        b = b * (2 * (j + n_terms) * (j - n_terms)) // ((2 * j + 1) * (j + 1))
+    return _div_trunc(acc << s, d)
 
 
 def accelerated_alternating_sum(
@@ -95,16 +126,9 @@ def accelerated_alternating_sum(
     """Chebyshev acceleration of head + sum of alternating paired terms.
 
     N defaults to ceil(digits * ln 10 / ln(3 + sqrt 8)) + 5, giving error
-    ~ (3+sqrt8)^-N below the requested precision with margin.
-
-    The loop is Algorithm 1 of Cohen, Rodriguez Villegas and Zagier (2000) on
-    plain integers.  The weights b_j and c_j are integer coefficients of the
-    shifted Chebyshev polynomial, so the b_j update divides exactly.  Each
-    term a_j = |u_{j+1}| = num_j / den_j enters an integer accumulator at the
-    working scale w as floor(num_j * c_j * 2^w / den_j), and the sum is
-    divided by d once at the end.  Each floor loses less than one unit of
-    2^-w, so the accelerated sum is off by less than N/d + 1 ulp in all, well
-    inside the (N + 8) ulp of the bound.
+    ~ (3+sqrt8)^-N below the requested precision with margin.  The terms
+    a_j = |u_{j+1}| go through _chebyshev_sum at the working scale, which is
+    off by under 3/2 ulp, well inside the (N + 8) ulp of the bound.
     """
     if n_terms is None:
         n_terms = math.ceil(ctx.requested_digits * math.log(10) / _ACCEL_RHO_LN) + 5
@@ -120,16 +144,10 @@ def accelerated_alternating_sum(
     sign_of_u1 = sigma * (-1) ** (1 - anchor)
     w = wctx.scale
     d = _chebyshev_d(n_terms)
-    b, c = -1, -d
-    acc = 0
     u1 = stream.pair(1)
-    for j in range(n_terms):
-        u = stream.pair(j + 1) if j else u1
-        c = b - c
-        acc += (abs(u.numerator) * c << w) // u.denominator
-        b = b * (2 * (j + n_terms) * (j - n_terms)) // ((2 * j + 1) * (j + 1))
-    value = head + BigFixed(_div_trunc(acc, d), w) * sign_of_u1
-    a0 = wctx.from_fraction(abs(u1))
+    terms = itertools.chain((u1,), map(stream.pair, range(2, n_terms + 1)))
+    value = head + BigFixed(_chebyshev_sum(terms, n_terms, d, w), w) * sign_of_u1
+    a0 = wctx.from_fraction(Fraction(abs(u1[0]), u1[1]))
     bound = a0.mul_fraction(Fraction(32, d)) + wctx.ulp() * (n_terms + 8)
     return SeriesResult(*ctx.finish(value, bound), n_terms + 1, "accelerated")
 
@@ -153,15 +171,14 @@ def direct_alternating_sum(
     acc = wctx.from_fraction(stream.head).mantissa
     n = 1
     while n <= max_terms:
-        t = stream.pair(n)
-        num, den = t.numerator, t.denominator
+        num, den = stream.pair(n)
         if abs(num) << (w + 2) < den:
             break
         acc += _div_trunc(num << w, den)
         n += 1
     # the first unadded pair dominates the alternating tail
-    tail = abs(stream.pair(n))
-    bound = wctx.from_fraction(tail) + wctx.ulp() * (n + 8)
+    num, den = stream.pair(n)
+    bound = wctx.from_fraction(Fraction(abs(num), den)) + wctx.ulp() * (n + 8)
     return SeriesResult(*ctx.finish(BigFixed(acc, w), bound), n, "direct")
 
 
@@ -435,11 +452,15 @@ def alternating_power_stream(k: int, x: Fraction) -> PairedTermStream:
     p, q = x.numerator, x.denominator
     q_e = q**e
 
-    def pair(n: int) -> Fraction:
+    def pair(n: int) -> tuple:
         # with x = p/q: q^e ((p+nq)^e + (p-nq)^e) / ((p+nq)(p-nq))^e
         plus, minus = p + n * q, p - n * q
         num = q_e * (plus**e + minus**e)
-        return Fraction(-num if n % 2 else num, (plus * minus) ** e)
+        den = (plus * minus) ** e
+        # (-1)^n num / den, written with den > 0
+        if (den < 0) != (n % 2 == 1):
+            num = -num
+        return num, abs(den)
 
     return PairedTermStream(head=1 / x**e, pair=pair)
 

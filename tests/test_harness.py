@@ -349,6 +349,8 @@ def test_cli_fourier_check(capsys):
         ("series --id appendix --x 1/3 --digits 10", 2),
         ("product --id viete --n 10 --correction none --digits 10", 2),
         ("study --target cot --grid ''", 3),
+        ("series --id cot --x 1/3 --digits 300", 3),
+        ("pi-power --k 4 --x 3/5 --digits 152", 3),
     ],
 )
 def test_cli_invalid_input_exit_code(argv, code, capsys):
@@ -358,6 +360,15 @@ def test_cli_invalid_input_exit_code(argv, code, capsys):
         rc = exc.code
     assert rc == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_accuracy_short_prints_no_value(capsys):
+    # the pole sum's bound stalls near 1e-320, so 1 000 digits are refused
+    rc = cli.main(["series", "--id", "cot", "--x", "1/3", "--digits", "1000"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: AccuracyShort: error bound 1.67e-320")
 
 
 def test_cli_missing_param_usage(capsys):

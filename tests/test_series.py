@@ -45,7 +45,7 @@ def sqrt_int(n: int, ctx: PrecisionContext = CTX):
 # ---------------------------------------------------------------------------
 
 
-LN2_STREAM = PairedTermStream(head=Fraction(1), pair=lambda n: Fraction((-1) ** n, n + 1))
+LN2_STREAM = PairedTermStream(head=Fraction(1), pair=lambda n: ((-1) ** n, n + 1))
 
 
 def test_accelerated_ln2():
@@ -58,13 +58,13 @@ def test_accelerated_ln2():
 
 
 def test_zero_stream():
-    stream = PairedTermStream(head=Fraction(0), pair=lambda n: Fraction(0))
+    stream = PairedTermStream(head=Fraction(0), pair=lambda n: (0, 1))
     res = accelerated_alternating_sum(stream, CTX)
     assert res.value.is_zero()
 
 
 def test_non_alternating_detected():
-    stream = PairedTermStream(head=Fraction(0), pair=lambda n: Fraction(-1, n * n))
+    stream = PairedTermStream(head=Fraction(0), pair=lambda n: (-1, n * n))
     with pytest.raises(NonAlternating):
         accelerated_alternating_sum(stream, CTX)
 
@@ -78,7 +78,7 @@ def test_symmetric_truncation_bit_exact():
             brute = sum(
                 Fraction(-1) ** abs(n) / (x + n) ** (k + 1) for n in range(-N, N + 1)
             )
-            paired = stream.head + sum(stream.pair(n) for n in range(1, N + 1))
+            paired = stream.head + sum(Fraction(*stream.pair(n)) for n in range(1, N + 1))
             assert brute == paired
 
 
@@ -100,19 +100,25 @@ def _chebyshev_d_exact(n: int) -> int:
     return a
 
 
-def _crvz_exact(stream: PairedTermStream, n: int) -> Fraction:
-    """Algorithm 1 of Cohen, Rodriguez Villegas and Zagier in exact rationals."""
-    u1 = stream.pair(1)
+def _crvz_sum_exact(stream: PairedTermStream, n: int) -> Fraction:
+    """sum_j c_j |u_{j+1}| / d of Algorithm 1 of Cohen, Rodriguez Villegas and
+    Zagier, in exact rationals."""
     d = _chebyshev_d_exact(n)
     b, c = Fraction(-1), Fraction(-d)
     terms = []
     for j in range(n):
         c = b - c
-        terms.append(c * abs(stream.pair(j + 1)))
+        terms.append(c * abs(Fraction(*stream.pair(j + 1))))
         b = b * Fraction(2 * (j + n) * (j - n), (2 * j + 1) * (j + 1))
     while len(terms) > 1:  # pairwise, so the denominators grow evenly
         terms = [sum(terms[i : i + 2]) for i in range(0, len(terms), 2)]
-    return stream.head + (1 if u1 > 0 else -1) * terms[0] / d
+    return terms[0] / d
+
+
+def _crvz_exact(stream: PairedTermStream, n: int) -> Fraction:
+    """Algorithm 1 of Cohen, Rodriguez Villegas and Zagier in exact rationals."""
+    sign = 1 if stream.pair(1)[0] > 0 else -1
+    return stream.head + sign * _crvz_sum_exact(stream, n)
 
 
 KERNEL_STREAMS = [
@@ -131,6 +137,39 @@ def test_integer_kernel_matches_exact_crvz(stream):
     for n in list(range(1, 41)) + [default_n]:
         res = accelerated_alternating_sum(stream, ctx, n)
         assert abs(res.value.to_fraction() - _crvz_exact(stream, n)) <= 3 * ulp, n
+
+
+NARROW_STREAMS = [
+    pytest.param(alternating_power_stream(k, x), id=f"k={k},x={x}")
+    for k, x in ((0, Fraction(1, 3)), (2, Fraction(1, 4)), (8, Fraction(1, 10)))
+] + [pytest.param(LN2_STREAM, id="ln2")]
+
+
+@pytest.mark.parametrize("stream", NARROW_STREAMS)
+def test_narrowed_kernel_within_three_halves_ulp(stream):
+    # the integer sum builds each term only to the scale the final division by
+    # d keeps, and is within 3/2 ulp of the exact sum at the working scale, in
+    # each regime of the narrowing shift s: small N, where s is 0 or below w;
+    # N far above what 15-30 digits need, where s exceeds w; the default N
+    # at 1 000 and 3 000 digits
+    cases = [(300, n) for n in range(1, 9)]
+    cases += [(digits, n) for digits in (15, 30) for n in (100, 1000, 3000)]
+    for digits in (1000, 3000):
+        default_n = accelerated_alternating_sum(stream, PrecisionContext(digits)).terms_used - 1
+        cases.append((digits, default_n))
+    for digits, n in cases:
+        w = PrecisionContext(digits).working(n).scale
+        d = series._chebyshev_d(n)
+        got = series._chebyshev_sum(map(stream.pair, range(1, n + 1)), n, d, w)
+        assert abs(got - _crvz_sum_exact(stream, n) * (1 << w)) < Fraction(3, 2), (digits, n)
+
+
+def test_chebyshev_d_matches_recurrence():
+    # repeated squaring of 3 + 2 sqrt2 gives the ints of d_n = 6 d_(n-1) - d_(n-2)
+    d_prev, d = 3, 1  # d_(-1) = 3, d_0 = 1
+    for n in range(2001):
+        assert series._chebyshev_d(n) == d, n
+        d_prev, d = d, 6 * d - d_prev
 
 
 def test_chebyshev_weight_recurrence_divides_exactly():
@@ -156,7 +195,9 @@ def test_pair_matches_rational_definition(p, q, k, n):
         x += Fraction(1, q)
     e = k + 1
     expected = (-1) ** n * (1 / (x + n) ** e + 1 / (x - n) ** e)
-    assert alternating_power_stream(k, x).pair(n) == expected
+    num, den = alternating_power_stream(k, x).pair(n)
+    assert den > 0
+    assert Fraction(num, den) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +241,7 @@ def test_pi_power_k0_quarter():
 def test_full_sum_includes_head():
     # the bracket sum_n (-1)^n/(1+4n) equals pi/(2 sqrt 2) with the n=0 term included
     stream = alternating_power_stream(0, Fraction(1, 4))
-    partial = stream.head + sum(stream.pair(n) for n in range(1, 2000))
+    partial = stream.head + sum(Fraction(*stream.pair(n)) for n in range(1, 2000))
     assert abs(float(partial) / 4 - math.pi / (2 * math.sqrt(2))) < 1e-4
     # leading partial sums of the quarter-shifted bracket: 1 - 1/5 + 1/3 + ...
     b = [Fraction(-1) ** n / (1 + 4 * n) for n in range(0, 3)]
