@@ -3,11 +3,18 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error (argparse),
 3 numeric/domain error (pole, singular point, unsupported angle, a series
 whose error bound cannot reach 10^-digits, ...).
+
+The parser is built once per process and serves every request: argparse
+keeps no state between parses (each parse starts a fresh namespace, defaults
+come from set_defaults, and sys.stdout, sys.stderr and the terminal width are
+read when something is printed), so output does not depend on what was
+parsed before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -52,6 +59,7 @@ def _grid(text: str) -> list:
         raise argparse.ArgumentTypeError(f"bad grid: {text!r}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pi-kiln",
@@ -200,8 +208,7 @@ def _cmd_fourier_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.run(args)
     except KilnError as exc:

@@ -42,19 +42,30 @@ PARTITION_COUNTS = (1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77)
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _cauchy_samples(x: float) -> tuple:
+    """The circle radius around x and the 128 pairs (theta_j, 1/sin(pi z_j))."""
+    dist = min(x - math.floor(x), math.ceil(x) - x)
+    radius = 0.6 * dist
+    samples = []
+    for j in range(128):
+        th = 2.0 * math.pi * j / 128
+        z = x + radius * cmath.exp(1j * th)
+        samples.append((th, 1.0 / cmath.sin(math.pi * z)))
+    return radius, tuple(samples)
+
+
 def derivative_oracle(x: float, k: int) -> float:
     """k-th derivative of 1/sin(pi t) at x from a 128-point Cauchy-circle sum.
 
     Complex double arithmetic only; shares nothing with the partition or
-    symbolic machinery it is used to check.
+    symbolic machinery it is used to check.  The samples depend on x alone,
+    so each x computes them once per process.
     """
-    dist = min(x - math.floor(x), math.ceil(x) - x)
-    radius = 0.6 * dist
+    radius, samples = _cauchy_samples(x)
     acc = 0j
-    for j in range(128):
-        th = 2.0 * math.pi * j / 128
-        z = x + radius * cmath.exp(1j * th)
-        acc += (1.0 / cmath.sin(math.pi * z)) * cmath.exp(-1j * th * k)
+    for th, f in samples:
+        acc += f * cmath.exp(-1j * th * k)
     return math.factorial(k) * (acc / 128).real / radius**k
 
 

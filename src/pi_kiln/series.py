@@ -108,14 +108,19 @@ def _chebyshev_sum(terms, n_terms: int, d: int, w: int) -> int:
     under one unit of acc, worth 2^s / d units of the result, and
     N 2^s <= d / 2, so the floors cost under 1/2 in all and the final
     truncation under 1.
+
+    The loop carries the weights pre-shifted, b_j 2^(w-s) and c_j 2^(w-s)
+    when w > s, so no term is shifted.  The b_j update still divides exactly,
+    since b_j x / y is an integer and so is b_j 2^(w-s) x / y; every floor,
+    and so the result, is the same int as with unshifted weights.
     """
     s = max(d.bit_length() - n_terms.bit_length() - 2, 0)
     up, down = max(w - s, 0), max(s - w, 0)
-    b, c = -1, -d
+    b, c = -1 << up, -d << up
     acc = 0
     for j, (num, den) in enumerate(terms):
         c = b - c
-        acc += (abs(num) * c << up) // (den << down)
+        acc += abs(num) * c // (den << down)
         b = b * (2 * (j + n_terms) * (j - n_terms)) // ((2 * j + 1) * (j + 1))
     return _div_trunc(acc << s, d)
 

@@ -37,5 +37,13 @@ def test_cli_output_matches_golden(command):
     assert run(command) == expected()[command]
 
 
+def test_cli_output_matches_golden_in_reverse_order():
+    # in-process requests share one parser, so no command's output may
+    # depend on the commands served before it
+    want = expected()
+    for command in reversed(COMMANDS):
+        assert run(command) == want[command]
+
+
 if __name__ == "__main__":
     (GOLDEN / "cli_expected.txt").write_text("".join(run(c) for c in COMMANDS))

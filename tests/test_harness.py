@@ -1,13 +1,21 @@
 """Oracle integrity, convergence studies, verify suites, CLI plumbing."""
 
+import cmath
+import contextlib
+import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
+import pi_kiln
 from pi_kiln import cli, harness, oracle, products, series
 from pi_kiln.errors import UnknownId
 from pi_kiln.numerics import BigFixed, PrecisionContext
@@ -91,6 +99,25 @@ def test_harness_derivative_oracle_hand_checked():
         s, c = math.sin(math.pi * x), math.cos(math.pi * x)
         d1 = -math.pi * c / s**2
         assert abs(harness.derivative_oracle(x, 1) - d1) / abs(d1) < 1e-10
+
+
+def _derivative_oracle_per_call(x, k):
+    # the oracle recomputing its 128 samples on every call
+    dist = min(x - math.floor(x), math.ceil(x) - x)
+    radius = 0.6 * dist
+    acc = 0j
+    for j in range(128):
+        th = 2.0 * math.pi * j / 128
+        z = x + radius * cmath.exp(1j * th)
+        acc += (1.0 / cmath.sin(math.pi * z)) * cmath.exp(-1j * th * k)
+    return math.factorial(k) * (acc / 128).real / radius**k
+
+
+def test_derivative_oracle_shared_samples_bit_identical():
+    # the samples are computed once per x; every float must stay the same
+    for x in (1 / 4, 1 / 3, 1 / 6):
+        for k in range(1, 9):
+            assert harness.derivative_oracle(x, k) == _derivative_oracle_per_call(x, k), (x, k)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +396,48 @@ def test_cli_accuracy_short_prints_no_value(capsys):
     assert rc == 3
     assert captured.out == ""
     assert captured.err.startswith("error: AccuracyShort: error bound 1.67e-320")
+
+
+def _serve_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(shlex.split(argv))
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _serve_in_fresh_process(argv):
+    src = str(Path(pi_kiln.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, COLUMNS="80")
+    done = subprocess.run(
+        [sys.executable, "-m", "pi_kiln", *shlex.split(argv)], capture_output=True, text=True, env=env
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_cli_shared_parser_keeps_no_state(monkeypatch):
+    # one parser serves every request of a process: a request served after
+    # others prints what it prints in a fresh process, usage errors included
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage text to it
+    sequence = [
+        "series --id nope --digits 5",
+        "pi-power --k 2 --x 1/4 --digits 20",
+        "series --id appendix --digits 15",
+        "product --list",
+        "series --id cot --x 1/3 --digits 15",
+    ]
+    served = [_serve_in_process(argv) for argv in sequence]
+    assert [rc for rc, _, _ in served] == [2, 0, 0, 0, 0]
+    assert served == [_serve_in_fresh_process(argv) for argv in sequence]
+    # nothing of an earlier parse reaches a later namespace
+    cli.build_parser().parse_args(shlex.split(sequence[1]))
+    args = cli.build_parser().parse_args(shlex.split(sequence[2]))
+    assert (args.id, args.x, args.a) == ("appendix", None, None)
+    assert not hasattr(args, "k")
 
 
 def test_cli_missing_param_usage(capsys):

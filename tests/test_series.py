@@ -164,6 +164,35 @@ def test_narrowed_kernel_within_three_halves_ulp(stream):
         assert abs(got - _crvz_sum_exact(stream, n) * (1 << w)) < Fraction(3, 2), (digits, n)
 
 
+def _chebyshev_sum_shifting_terms(terms, n_terms, d, w):
+    # the accelerator's loop with unshifted weights, shifting each term instead
+    s = max(d.bit_length() - n_terms.bit_length() - 2, 0)
+    up, down = max(w - s, 0), max(s - w, 0)
+    b, c = -1, -d
+    acc = 0
+    for j, (num, den) in enumerate(terms):
+        c = b - c
+        acc += (abs(num) * c << up) // (den << down)
+        b = b * (2 * (j + n_terms) * (j - n_terms)) // ((2 * j + 1) * (j + 1))
+    return numerics._div_trunc(acc << s, d)
+
+
+@pytest.mark.parametrize("stream", NARROW_STREAMS)
+def test_preshifted_weights_bit_identical(stream):
+    # pre-shifting b_j and c_j by 2^(w-s) gives the same int as shifting each
+    # term, when w > s (small N at 300 digits, the default N = 1312 at 1 000
+    # digits) and when w < s (N far above what 15 digits need)
+    cases = [(300, n) for n in (1, 2, 5, 8, 40)] + [(1000, 1312), (15, 100), (15, 1000)]
+    regimes = set()
+    for digits, n in cases:
+        w = PrecisionContext(digits).working(n).scale
+        d = series._chebyshev_d(n)
+        regimes.add(w > max(d.bit_length() - n.bit_length() - 2, 0))
+        want = _chebyshev_sum_shifting_terms(map(stream.pair, range(1, n + 1)), n, d, w)
+        assert series._chebyshev_sum(map(stream.pair, range(1, n + 1)), n, d, w) == want, (digits, n)
+    assert regimes == {True, False}
+
+
 def test_chebyshev_d_matches_recurrence():
     # repeated squaring of 3 + 2 sqrt2 gives the ints of d_n = 6 d_(n-1) - d_(n-2)
     d_prev, d = 3, 1  # d_(-1) = 3, d_0 = 1
